@@ -12,10 +12,11 @@ using isa::Cond;
 using isa::Opcode;
 
 Pipeline::Pipeline(const PipelineConfig &config, FetchUnit &fetch,
-                   MemorySystem &mem)
+                   MemorySystem &mem, std::optional<Annotation> annotation)
     : _cfg(config), _fetch(fetch), _mem(mem), _dataPort(*this),
       _queues(config.laqEntries, config.ldqEntries, config.saqEntries,
-              config.sdqEntries)
+              config.sdqEntries),
+      _annotation(annotation)
 {
     _mem.setDataClient(&_dataPort);
 }
@@ -55,12 +56,7 @@ Pipeline::peekDataOp()
         req.addr = laq.front().addr;
         req.isStore = false;
         req.dataSeq = _loadsAccepted;
-        req.onData = [this](Word value) {
-            PIPESIM_ASSERT(!_queues.ldq().full(),
-                           "LDQ overflow: reservation logic broken");
-            _queues.ldq().push(value);
-            ++_loadsDelivered;
-        };
+        req.onData = [this](Word value) { deliverLoad(value); };
     } else {
         // A store needs its data; program order blocks behind it
         // until the SDQ entry is produced.
@@ -71,6 +67,22 @@ Pipeline::peekDataOp()
         req.storeData = _queues.sdq().front();
     }
     return req;
+}
+
+void
+Pipeline::deliverLoad(Word value)
+{
+    PIPESIM_ASSERT(!_queues.ldq().full(),
+                   "LDQ overflow: reservation logic broken");
+    _queues.ldq().push(value);
+    ++_loadsDelivered;
+}
+
+void
+Pipeline::rebindDataRequest(MemRequest &req)
+{
+    if (!req.isStore)
+        req.onData = [this](Word value) { deliverLoad(value); };
 }
 
 void
@@ -146,11 +158,45 @@ Pipeline::readSource(unsigned r)
     return _regs.read(r);
 }
 
+const isa::CommittedInst &
+Pipeline::recordFor(const isa::FetchedInst &fi)
+{
+    const auto records = _annotation->records;
+    std::size_t &next = _annotation->next;
+    const auto provenance = [&] {
+        return _annotation->provenance.empty() ? std::string_view("none")
+                                               : _annotation->provenance;
+    };
+    if (next >= records.size())
+        fatal("trace replay: the fetch stream issued instruction #", next,
+              " at pc 0x", std::hex, fi.pc, std::dec,
+              " but the trace holds only ", records.size(),
+              " records — the trace does not match this program "
+              "(capture provenance: ",
+              provenance(), ")");
+    const isa::CommittedInst &r = records[next];
+    const isa::Instruction &inst = fi.inst;
+    const bool mismatch =
+        r.pc != fi.pc ||
+        r.hasMemAddr != (inst.isLoad() || inst.isStore()) ||
+        r.memIsStore != inst.isStore() || r.isPbr != inst.isPbr();
+    if (mismatch)
+        fatal("trace replay diverged at record #", next,
+              ": trace says pc 0x", std::hex, r.pc,
+              " but the machine issued pc 0x", fi.pc, std::dec,
+              " — the trace was captured from a different program "
+              "(capture provenance: ",
+              provenance(), ")");
+    ++next;
+    return r;
+}
+
 void
 Pipeline::execute(const isa::FetchedInst &fi, Cycle now)
 {
     const isa::Instruction &inst = fi.inst;
     const auto &info = isa::opcodeInfo(inst.op);
+    const isa::CommittedInst *rec = _annotation ? &recordFor(fi) : nullptr;
 
     Word a = 0;
     Word b = 0;
@@ -159,7 +205,7 @@ Pipeline::execute(const isa::FetchedInst &fi, Cycle now)
     if (info.hasRs2)
         b = readSource(inst.rs2);
 
-    _execNote = ExecAnnotation{};
+    _outcome = isa::ExecOutcome{};
 
     const Word imm = Word(inst.imm);
     // Logical immediates are zero-extended (so lui+ori can build full
@@ -191,22 +237,24 @@ Pipeline::execute(const isa::FetchedInst &fi, Cycle now)
       case Opcode::Neg: result = Word(-SWord(a)); break;
       case Opcode::Ld:
       case Opcode::LdX: {
-        const Addr addr = a + (inst.op == Opcode::Ld ? imm : b);
+        const Addr addr =
+            rec ? rec->memAddr : a + (inst.op == Opcode::Ld ? imm : b);
         _queues.laq().push(PendingAccess{_memOpSeq++, addr});
         ++_loadsIssued;
         ++_loads;
-        _execNote.hasMemAddr = true;
-        _execNote.memAddr = addr;
+        _outcome.hasMemAddr = true;
+        _outcome.memAddr = addr;
         break;
       }
       case Opcode::St:
       case Opcode::StX: {
-        const Addr addr = a + (inst.op == Opcode::St ? imm : b);
+        const Addr addr =
+            rec ? rec->memAddr : a + (inst.op == Opcode::St ? imm : b);
         _queues.saq().push(PendingAccess{_memOpSeq++, addr});
         ++_stores;
-        _execNote.hasMemAddr = true;
-        _execNote.memIsStore = true;
-        _execNote.memAddr = addr;
+        _outcome.hasMemAddr = true;
+        _outcome.memIsStore = true;
+        _outcome.memAddr = addr;
         break;
       }
       case Opcode::Lbr:
@@ -224,14 +272,19 @@ Pipeline::execute(const isa::FetchedInst &fi, Cycle now)
           case Cond::Gtz: taken = v > 0; break;
           case Cond::Lez: taken = v <= 0; break;
         }
+        Addr target = _regs.readBranch(inst.br);
+        if (rec) {
+            taken = rec->branchTaken;
+            target = rec->branchTarget;
+        }
         if (taken)
             ++_pbrTaken;
         else
             ++_pbrNotTaken;
-        _pendingResolve = Resolve{taken, _regs.readBranch(inst.br)};
-        _execNote.hasBranch = true;
-        _execNote.branchTaken = taken;
-        _execNote.branchTarget = _pendingResolve->target;
+        _pendingResolve = Resolve{taken, target};
+        _outcome.isPbr = true;
+        _outcome.branchTaken = taken;
+        _outcome.branchTarget = target;
         break;
       }
       case Opcode::Rsw:
@@ -293,11 +346,8 @@ Pipeline::tick(Cycle now)
             cls = _halted ? obs::CycleClass::Drain
                           : obs::CycleClass::Issue;
             if (_probes && _probes->retire.active())
-                _probes->retire.notify(obs::RetireEvent{
-                    now, *_issueLatch, _execNote.hasMemAddr,
-                    _execNote.memIsStore, _execNote.memAddr,
-                    _execNote.hasBranch, _execNote.branchTaken,
-                    _execNote.branchTarget});
+                _probes->retire.notify(
+                    obs::RetireEvent{now, *_issueLatch, _outcome});
             _issueLatch.reset();
             break;
           case StallReason::RegBusy:
@@ -377,7 +427,140 @@ Pipeline::dumpState(std::ostream &os) const
        << _queues.sdq().capacity() << "\n";
     os << "  loads issued/accepted/delivered: " << _loadsIssued << "/"
        << _loadsAccepted << "/" << _loadsDelivered << "\n";
+    if (_annotation)
+        os << "  next trace record: #" << _annotation->next << " of "
+           << _annotation->records.size() << "\n";
     os.flags(flags);
+}
+
+namespace
+{
+
+/**
+ * Latches serialize the full decoded instruction, not just the pc:
+ * the fetch unit can run ahead of a taken branch or past the code
+ * image and latch an instruction the pipeline will squash without
+ * executing, so re-decoding from the Program on restore would reject
+ * a state the live machine legitimately held.
+ */
+void
+saveLatch(StateWriter &w, const std::optional<isa::FetchedInst> &latch)
+{
+    w.b(latch.has_value());
+    if (!latch)
+        return;
+    w.u32(latch->pc);
+    const isa::Instruction &i = latch->inst;
+    w.u8(std::uint8_t(i.op));
+    w.u8(i.rd);
+    w.u8(i.rs1);
+    w.u8(i.rs2);
+    w.u8(i.br);
+    w.u8(i.count);
+    w.u8(std::uint8_t(i.cond));
+    w.u32(std::uint32_t(i.imm));
+    w.u8(i.parcels);
+}
+
+void
+restoreLatch(StateReader &r, std::optional<isa::FetchedInst> &latch)
+{
+    latch.reset();
+    if (!r.b())
+        return;
+    isa::FetchedInst fi;
+    fi.pc = r.u32();
+    const std::uint8_t op = r.u8();
+    if (op >= std::uint8_t(isa::Opcode::NumOpcodes))
+        r.fail("latched opcode ", unsigned(op), " out of range");
+    fi.inst.op = isa::Opcode(op);
+    fi.inst.rd = r.u8();
+    fi.inst.rs1 = r.u8();
+    fi.inst.rs2 = r.u8();
+    fi.inst.br = r.u8();
+    fi.inst.count = r.u8();
+    const std::uint8_t cond = r.u8();
+    if (cond > std::uint8_t(isa::Cond::Lez))
+        r.fail("latched condition ", unsigned(cond), " out of range");
+    fi.inst.cond = isa::Cond(cond);
+    fi.inst.imm = std::int32_t(r.u32());
+    fi.inst.parcels = r.u8();
+    latch = fi;
+}
+
+} // namespace
+
+void
+Pipeline::saveState(StateWriter &w) const
+{
+    _regs.saveState(w);
+    _queues.saveState(w);
+    saveLatch(w, _idLatch);
+    saveLatch(w, _issueLatch);
+    w.b(_pendingResolve.has_value());
+    if (_pendingResolve) {
+        w.b(_pendingResolve->taken);
+        w.u32(_pendingResolve->target);
+    }
+    w.b(_halted);
+    w.u64(_haltCycle);
+    w.u64(nextRecord());
+    w.u64(_memOpSeq);
+    w.u64(_loadsAccepted);
+    w.u64(_loadsIssued);
+    w.u64(_loadsDelivered);
+    w.u64(_retired.value());
+    w.u64(_issueStallRegBusy.value());
+    w.u64(_issueStallLdqEmpty.value());
+    w.u64(_issueStallSdqFull.value());
+    w.u64(_issueStallLaqFull.value());
+    w.u64(_issueStallLdqReserved.value());
+    w.u64(_issueStallSaqFull.value());
+    w.u64(_fetchStarveCycles.value());
+    w.u64(_loads.value());
+    w.u64(_stores.value());
+    w.u64(_pbrTaken.value());
+    w.u64(_pbrNotTaken.value());
+}
+
+void
+Pipeline::restoreState(StateReader &r)
+{
+    _regs.restoreState(r);
+    _queues.restoreState(r);
+    restoreLatch(r, _idLatch);
+    restoreLatch(r, _issueLatch);
+    _pendingResolve.reset();
+    if (r.b()) {
+        Resolve res;
+        res.taken = r.b();
+        res.target = r.u32();
+        _pendingResolve = res;
+    }
+    _halted = r.b();
+    _haltCycle = r.u64();
+    const std::uint64_t next = r.u64();
+    if (_annotation) {
+        if (next > _annotation->records.size())
+            r.fail("next trace record ", next, " past trace end");
+        _annotation->next = next;
+    }
+    _memOpSeq = r.u64();
+    _loadsAccepted = r.u64();
+    _loadsIssued = r.u64();
+    _loadsDelivered = r.u64();
+    _retired.set(r.u64());
+    _issueStallRegBusy.set(r.u64());
+    _issueStallLdqEmpty.set(r.u64());
+    _issueStallSdqFull.set(r.u64());
+    _issueStallLaqFull.set(r.u64());
+    _issueStallLdqReserved.set(r.u64());
+    _issueStallSaqFull.set(r.u64());
+    _fetchStarveCycles.set(r.u64());
+    _loads.set(r.u64());
+    _stores.set(r.u64());
+    _pbrTaken.set(r.u64());
+    _pbrNotTaken.set(r.u64());
 }
 
 void

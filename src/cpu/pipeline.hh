@@ -8,6 +8,14 @@
  * point through the memory-mapped FPU), so kernel outputs can be
  * validated against host references while cycle counts are measured.
  *
+ * Trace replay runs the same pipeline with an Annotation: execute()
+ * then takes each instruction's ExecOutcome (effective address, PBR
+ * direction and target) from the recorded stream instead of computing
+ * it, and everything else runs on whatever values the registers hold.
+ * Values reach timing only through those outcomes and HALT
+ * (docs/trace_replay.md), so a replay that starts mid-program on
+ * stale registers still reproduces the captured run's cycles.
+ *
  * Issue semantics (the timing-relevant part):
  *  - one instruction issues per cycle, in order;
  *  - reading r7 pops the Load Data Queue and stalls while it is
@@ -32,7 +40,10 @@
 
 #include <iosfwd>
 #include <optional>
+#include <span>
+#include <string_view>
 
+#include "common/state_io.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "core/fetch_unit.hh"
@@ -55,11 +66,28 @@ struct PipelineConfig
     unsigned aluLatency = 1; //!< cycles until a result is readable
 };
 
+/**
+ * A recorded outcome stream for execute() to follow (trace replay):
+ * one record per issued instruction, consumed in order from @c next.
+ * The records must outlive the pipeline.
+ */
+struct Annotation
+{
+    std::span<const isa::CommittedInst> records;
+    std::size_t next = 0;        //!< index of the next record to issue
+    std::string_view provenance; //!< names the capture in diagnostics
+};
+
 class Pipeline
 {
   public:
+    /**
+     * @param annotation When set, execute() takes every instruction's
+     *                   ExecOutcome from it (trace replay).
+     */
     Pipeline(const PipelineConfig &config, FetchUnit &fetch,
-             MemorySystem &mem);
+             MemorySystem &mem,
+             std::optional<Annotation> annotation = std::nullopt);
     ~Pipeline();
 
     Pipeline(const Pipeline &) = delete;
@@ -79,6 +107,12 @@ class Pipeline
     /** Cycle at which HALT issued (valid once halted()). */
     Cycle haltCycle() const { return _haltCycle; }
 
+    /** Index of the next annotation record (0 when unannotated). */
+    std::size_t nextRecord() const
+    {
+        return _annotation ? _annotation->next : 0;
+    }
+
     RegFile &regs() { return _regs; }
     const RegFile &regs() const { return _regs; }
     ArchQueues &queues() { return _queues; }
@@ -94,6 +128,25 @@ class Pipeline
     void dumpState(std::ostream &os) const;
 
     void regStats(StatGroup &stats, const std::string &prefix);
+
+    /** Serialize the pipeline's full state for a checkpoint. */
+    void saveState(StateWriter &w) const;
+
+    /**
+     * Restore state saved by saveState().  Latched instructions
+     * carry their full decoding in the snapshot (a latch may hold a
+     * speculatively fetched instruction from outside the code image,
+     * squashed before execution, so the program cannot re-decode it).
+     */
+    void restoreState(StateReader &r);
+
+    /**
+     * Re-attach this pipeline's callbacks to an in-flight Data-class
+     * request restored by MemorySystem::restoreState (the binding
+     * peekDataOp makes: loads deliver into the LDQ, stores have no
+     * callbacks).
+     */
+    void rebindDataRequest(MemRequest &req);
 
   private:
     /** MemClient presenting LAQ/SAQ traffic in program order. */
@@ -123,6 +176,8 @@ class Pipeline
     StallReason issueHazard(const isa::Instruction &inst, Cycle now) const;
     void execute(const isa::FetchedInst &fi, Cycle now);
     Word readSource(unsigned r);
+    const isa::CommittedInst &recordFor(const isa::FetchedInst &fi);
+    void deliverLoad(Word value);
 
     std::optional<MemRequest> peekDataOp();
     void dataOpAccepted();
@@ -145,22 +200,10 @@ class Pipeline
     };
     std::optional<Resolve> _pendingResolve;
 
-    /**
-     * Trace-relevant outcomes of the most recent execute(), copied
-     * into the RetireEvent emitted for that instruction (the effective
-     * address and branch resolution are computed inside execute() and
-     * are otherwise invisible to listeners).
-     */
-    struct ExecAnnotation
-    {
-        bool hasMemAddr = false;
-        bool memIsStore = false;
-        Addr memAddr = 0;
-        bool hasBranch = false;
-        bool branchTaken = false;
-        Addr branchTarget = 0;
-    };
-    ExecAnnotation _execNote;
+    std::optional<Annotation> _annotation;
+
+    /** Outcome of the most recent execute(), for its RetireEvent. */
+    isa::ExecOutcome _outcome;
 
     bool _halted = false;
     Cycle _haltCycle = 0;
@@ -179,7 +222,6 @@ class Pipeline
     Counter _issueStallLdqReserved;
     Counter _issueStallSaqFull;
     Counter _fetchStarveCycles;
-    Counter _branchBlockCycles;
     Counter _loads;
     Counter _stores;
     Counter _pbrTaken;

@@ -67,6 +67,33 @@ struct FetchedInst
     Instruction inst;
 };
 
+/**
+ * The outcomes of executing one instruction that timing depends on
+ * (docs/trace_replay.md): a load/store's effective address and a
+ * PBR's resolved direction and target.  The pipeline computes them
+ * (or takes them from a trace), the retire probe reports them and a
+ * trace records them.
+ */
+struct ExecOutcome
+{
+    bool hasMemAddr = false;  //!< load/store; memAddr is valid
+    bool memIsStore = false;  //!< the op pushes the SAQ (else LAQ)
+    Addr memAddr = 0;         //!< effective address
+    bool isPbr = false;       //!< PBR; taken/target are valid
+    bool branchTaken = false; //!< resolved direction
+    Addr branchTarget = 0;    //!< resolved target (branch register)
+
+    bool operator==(const ExecOutcome &other) const = default;
+};
+
+/** One committed instruction: its fetch address and its outcomes. */
+struct CommittedInst : ExecOutcome
+{
+    Addr pc = 0;
+
+    bool operator==(const CommittedInst &other) const = default;
+};
+
 } // namespace pipesim::isa
 
 #endif // PIPESIM_ISA_INSTRUCTION_HH

@@ -93,7 +93,7 @@ struct MemRequest
  * Serialize the value fields of a request for a checkpoint.  The
  * callbacks are deliberately not captured: they close over component
  * pointers that are meaningless in another process, so the restore
- * path re-binds them from the owning component (ReplayPipeline for
+ * path re-binds them from the owning component (the Pipeline for
  * Data requests, the fetch unit for instruction fills) after
  * restoreMemRequest() rebuilds the plain fields.
  */

@@ -48,6 +48,12 @@ class CpiStack
     /** Cycles attributed to @p cls so far. */
     std::uint64_t component(CycleClass cls) const;
 
+    /** Overwrite one component (checkpoint restore). */
+    void setComponent(CycleClass cls, std::uint64_t cycles)
+    {
+        _components[unsigned(cls)].set(cycles);
+    }
+
     /** Sum of every component except Drain (== totalCycles). */
     std::uint64_t accountedCycles() const;
 

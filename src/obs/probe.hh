@@ -125,23 +125,17 @@ struct CycleClassEvent
 /**
  * Pipeline: one per issued (retired) instruction.
  *
- * The annotation fields carry the outcomes that cannot be re-derived
- * from the program image alone — the effective address of a
- * load/store and the resolved direction/target of a PBR.  They are
- * what the trace capture layer (replay/capture.hh) records so a
- * trace-driven replay can reproduce the run without executing values.
+ * The outcome carries what cannot be re-derived from the program
+ * image alone — the effective address of a load/store and the
+ * resolved direction/target of a PBR.  It is what the trace capture
+ * layer (replay/capture.hh) records so a trace-driven replay can
+ * reproduce the run's timing.
  */
 struct RetireEvent
 {
     Cycle cycle;
     isa::FetchedInst inst;
-
-    bool hasMemAddr = false;   //!< inst is a load/store; memAddr valid
-    bool memIsStore = false;   //!< the memory op pushes the SAQ
-    Addr memAddr = 0;          //!< effective address (loads/stores)
-    bool hasBranch = false;    //!< inst is a PBR; taken/target valid
-    bool branchTaken = false;  //!< resolved direction
-    Addr branchTarget = 0;     //!< resolved target (branch register)
+    isa::ExecOutcome outcome;
 };
 
 /** Fetch unit: an off-chip line request or a completed line fill. */

@@ -13,15 +13,7 @@ TraceCapture::TraceCapture(Simulator &sim, std::string provenance)
     _trace.meta.programSha256 = programSha256(sim.program());
     _trace.meta.provenance = std::move(provenance);
     _id = _bus.retire.connect([this](const obs::RetireEvent &ev) {
-        TraceRecord r;
-        r.pc = ev.inst.pc;
-        r.hasMemAddr = ev.hasMemAddr;
-        r.memIsStore = ev.memIsStore;
-        r.memAddr = ev.memAddr;
-        r.isPbr = ev.hasBranch;
-        r.branchTaken = ev.branchTaken;
-        r.branchTarget = ev.branchTarget;
-        _trace.records.push_back(r);
+        _trace.records.push_back(TraceRecord{ev.outcome, ev.inst.pc});
     });
 }
 

@@ -8,7 +8,7 @@
  * window of one (trace, program, machine configuration, sampling
  * parameters) tuple: for each planned window, the complete serialized
  * state of the replayed machine at the end of the window's warm-up
- * (ReplayMachine::saveState) plus the shared DataMemory's dirty
+ * (Simulator::saveState) plus the shared DataMemory's dirty
  * pages.  A later sampled replay of the same tuple restores each
  * window from its snapshot and runs only the measured instructions —
  * the TurboSMARTSim "live-points" idea — making the windows
@@ -49,7 +49,7 @@ namespace pipesim::replay
 {
 
 /** Current (and only) checkpoint format version. */
-inline constexpr std::uint32_t checkpointFormatVersion = 1;
+inline constexpr std::uint32_t checkpointFormatVersion = 2;
 
 /** Checkpoint identity: the cache key plus provenance. */
 struct CheckpointMeta

@@ -16,19 +16,18 @@
 #include "obs/metrics.hh"
 #include "obs/profiler.hh"
 #include "replay/checkpoint.hh"
-#include "replay/replay_machine.hh"
 
 namespace pipesim::replay
 {
 
-// Cancellation note: every tick loop below calls
-// ReplayMachine::watchdogs(config), which — in addition to the
-// simulated-time watchdogs — polls the sweep's per-point cancel flag
-// (SimConfig::cancelFlag, throwing TimeoutAbort) and the guard's
-// shutdown flag (throwing InterruptedError).  Under the pooled window
-// passes those exceptions are captured in each window's std::future
-// and rethrown at the plan-order collection point, so a deadline or a
-// SIGINT never strands a worker mid-window.
+// Cancellation note: every replayed machine is a Simulator, whose
+// watchdogs — in addition to the simulated-time ones — poll the
+// sweep's per-point cancel flag (SimConfig::cancelFlag, throwing
+// TimeoutAbort) and the guard's shutdown flag (throwing
+// InterruptedError).  Under the pooled window passes those exceptions
+// are captured in each window's std::future and rethrown at the
+// plan-order collection point, so a deadline or a SIGINT never
+// strands a worker mid-window.
 
 namespace
 {
@@ -59,22 +58,13 @@ replayExact(const SimConfig &config, const Program &program,
     obs::ScopedPhase phase("replay.exact", obs::Scope::Coarse);
     DataMemory dataMem;
     dataMem.loadProgram(program);
-    ReplayMachine m(config, program, trace, 0, dataMem);
-    while (!m.done()) {
-        m.step();
-        m.watchdogs(config);
-    }
-    if (!m.pipe.traceExhausted())
-        fatal("trace replay halted after ", m.pipe.cursor(),
+    Simulator sim(config, program, annotationOf(trace), dataMem);
+    SimResult r = sim.run();
+    if (sim.pipeline().nextRecord() < trace.records.size())
+        fatal("trace replay halted after ", sim.pipeline().nextRecord(),
               " instructions but the trace holds ",
               trace.records.size(),
               " — the trace does not match this program");
-
-    SimResult r;
-    r.totalCycles = m.pipe.haltCycle();
-    r.instructions = m.pipe.instructionsRetired();
-    for (const auto &name : m.stats.counterNames())
-        r.counters.emplace(name, m.stats.counterValue(name));
     r.meta["engine"] = "trace-exact";
     r.meta["trace_sha256"] = trace.sha256;
     r.meta["program_sha256"] = trace.meta.programSha256;
@@ -102,54 +92,46 @@ struct WindowOutcome
     std::uint64_t ckptNs = 0;
 };
 
-/** Advance @p m to @p warmEnd (detailed warm-up).  @return false when
- *  the trace ran out first. */
+/** Advance @p sim to @p warmEnd (detailed warm-up).  @return false
+ *  when the trace ran out first. */
 bool
-runWarmup(ReplayMachine &m, const SimConfig &config,
-          std::size_t warmEnd, bool prof, WindowOutcome &out)
+runWarmup(Simulator &sim, std::size_t warmEnd, bool prof,
+          WindowOutcome &out)
 {
     const std::uint64_t startNs = prof ? obs::profileNowNs() : 0;
-    while (m.pipe.cursor() < warmEnd && !m.done()) {
-        m.step();
-        m.watchdogs(config);
-    }
+    const bool reached = sim.runToRecord(warmEnd);
     if (prof)
         out.warmNs = obs::profileNowNs() - startNs;
-    if (m.pipe.cursor() < warmEnd) {
-        out.warmIncomplete = true;
-        return false;
-    }
-    return true;
+    out.warmIncomplete = !reached;
+    return reached;
 }
 
 /** Run the measured span of @p win on a machine already positioned at
  *  its warm end, filling the outcome's deltas. */
 void
-runMeasure(ReplayMachine &m, const SimConfig &config,
-           const SampleWindow &win, bool prof, WindowOutcome &out)
+runMeasure(Simulator &sim, const SampleWindow &win, bool prof,
+           WindowOutcome &out)
 {
-    const Cycle warmEndCycle = m.now;
-    const auto names = m.stats.counterNames();
+    const Cycle warmEndCycle = sim.now();
+    const StatGroup &stats = sim.stats();
+    const auto names = stats.counterNames();
     std::vector<std::uint64_t> before;
     before.reserve(names.size());
     for (const auto &name : names)
-        before.push_back(m.stats.counterValue(name));
+        before.push_back(stats.counterValue(name));
 
     const std::uint64_t startNs = prof ? obs::profileNowNs() : 0;
-    while (m.pipe.cursor() < win.measureEnd && !m.done()) {
-        m.step();
-        m.watchdogs(config);
-    }
+    sim.runToRecord(win.measureEnd);
     if (prof)
         out.measureNs = obs::profileNowNs() - startNs;
 
-    out.insts = m.pipe.cursor() - win.warmEnd;
-    out.cycles = m.now - warmEndCycle;
+    out.insts = sim.pipeline().nextRecord() - win.warmEnd;
+    out.cycles = sim.now() - warmEndCycle;
     if (out.insts == 0)
         return;
     for (std::size_t i = 0; i < names.size(); ++i)
         out.counterDeltas[names[i]] =
-            m.stats.counterValue(names[i]) - before[i];
+            stats.counterValue(names[i]) - before[i];
 }
 
 /**
@@ -174,9 +156,10 @@ runSerialWindows(const SimConfig &config, const Program &program,
     for (std::size_t i = 0; i < plan.size(); ++i) {
         const SampleWindow &win = plan[i];
         WindowOutcome out;
-        ReplayMachine m(config, program, trace, win.start, dataMem);
-        m.fetch->reset(trace.records[win.start].pc);
-        if (!runWarmup(m, config, win.warmEnd, prof, out)) {
+        Simulator sim(config, program, annotationOf(trace, win.start),
+                      dataMem);
+        sim.fetchUnit().reset(trace.records[win.start].pc);
+        if (!runWarmup(sim, win.warmEnd, prof, out)) {
             outcomes.push_back(std::move(out));
             break;
         }
@@ -184,7 +167,7 @@ runSerialWindows(const SimConfig &config, const Program &program,
             const std::uint64_t saveStartNs =
                 prof ? obs::profileNowNs() : 0;
             StateWriter w;
-            m.saveState(w);
+            sim.saveState(w);
             dataMem.saveDirtyPages(w);
             CheckpointWindow cw;
             cw.index = i;
@@ -198,7 +181,7 @@ runSerialWindows(const SimConfig &config, const Program &program,
                 .add(cw.payload.size());
             save->windows.push_back(std::move(cw));
         }
-        runMeasure(m, config, win, prof, out);
+        runMeasure(sim, win, prof, out);
         outcomes.push_back(std::move(out));
     }
     return outcomes;
@@ -222,11 +205,12 @@ runPooledWindows(const SimConfig &config, const Program &program,
             WindowOutcome &out = outcomes[i];
             DataMemory dataMem;
             dataMem.loadProgram(program);
-            ReplayMachine m(config, program, trace, win.start, dataMem);
-            m.fetch->reset(trace.records[win.start].pc);
-            if (!runWarmup(m, config, win.warmEnd, prof, out))
+            Simulator sim(config, program,
+                          annotationOf(trace, win.start), dataMem);
+            sim.fetchUnit().reset(trace.records[win.start].pc);
+            if (!runWarmup(sim, win.warmEnd, prof, out))
                 return;
-            runMeasure(m, config, win, prof, out);
+            runMeasure(sim, win, prof, out);
         }));
     }
     // Collect in plan order so the first failing window's exception
@@ -312,13 +296,14 @@ runCheckpointedWindows(const SimConfig &config, const Program &program,
         const CheckpointWindow &cw = set.windows[i];
         DataMemory dataMem;
         dataMem.loadProgram(program);
-        ReplayMachine m(config, program, trace, win.start, dataMem);
+        Simulator sim(config, program, annotationOf(trace, win.start),
+                      dataMem);
         const std::uint64_t restoreStartNs =
             prof ? obs::profileNowNs() : 0;
         StateReader r(cw.payload,
                       "checkpoint " + set.sha256.substr(0, 16) +
                           " window " + std::to_string(i));
-        m.restoreState(r);
+        sim.restoreState(r);
         dataMem.restoreDirtyPages(r);
         r.expectEnd();
         if (prof)
@@ -326,7 +311,7 @@ runCheckpointedWindows(const SimConfig &config, const Program &program,
         registry.counter("replay.ckpt.windows_restored").add(1);
         registry.counter("replay.ckpt.bytes_read")
             .add(cw.payload.size());
-        runMeasure(m, config, win, prof, out);
+        runMeasure(sim, win, prof, out);
     };
 
     if (jobs <= 1) {
@@ -596,6 +581,12 @@ planSampleWindows(std::size_t totalRecords,
         plan.push_back(SampleWindow{start, warmEnd, measureEnd});
     }
     return plan;
+}
+
+Annotation
+annotationOf(const Trace &trace, std::size_t first)
+{
+    return Annotation{trace.records, first, trace.meta.provenance};
 }
 
 SimResult

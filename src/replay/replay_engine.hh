@@ -1,16 +1,16 @@
 /**
  * @file
  * Trace-driven simulation: replay a captured instruction stream
- * through any machine configuration, without executing values.
+ * through any machine configuration, taking effective addresses and
+ * branch outcomes from the trace instead of from executed values.
  *
  * Two modes (docs/trace_replay.md documents the guarantees):
  *
- *  - Exact (samplePeriod == 0): a cycle-driven run with the real
- *    fetch unit and memory system and a surrogate backend
- *    (ReplayPipeline).  Miss counts, stall counters and the cycle
- *    count are bit-exact against Simulator for the same config —
- *    enforced by tests/test_replay.cc across the full Livermore
- *    sweep grid.
+ *  - Exact (samplePeriod == 0): Simulator::run() on a machine whose
+ *    pipeline follows the trace (an Annotation, cpu/pipeline.hh).
+ *    Every counter, the CPI stack included, and the cycle count are
+ *    bit-exact against the cycle run for the same config — enforced
+ *    by tests/test_replay.cc across the full Livermore sweep grid.
  *
  *  - Sampled (samplePeriod > 0): SMARTS-style systematic sampling.
  *    Every samplePeriod instructions a fresh machine replays
@@ -110,6 +110,13 @@ std::vector<SampleWindow>
 planSampleWindows(std::size_t totalRecords,
                   const std::vector<std::size_t> &syncPoints,
                   const ReplayOptions &opt);
+
+/**
+ * The pipeline annotation (cpu/pipeline.hh) that replays @p trace
+ * from record @p first; @p trace must outlive every machine built
+ * with it.
+ */
+Annotation annotationOf(const Trace &trace, std::size_t first = 0);
 
 /**
  * Replay @p trace through the machine described by @p config.

@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "common/types.hh"
+#include "isa/instruction.hh"
 
 namespace pipesim
 {
@@ -57,18 +58,7 @@ inline constexpr std::uint32_t traceFormatVersion = 1;
 inline constexpr std::uint32_t traceChunkRecords = 4096;
 
 /** One committed instruction, with its timing-relevant outcomes. */
-struct TraceRecord
-{
-    Addr pc = 0;
-    bool hasMemAddr = false;  //!< load/store; memAddr is valid
-    bool memIsStore = false;  //!< the op pushes the SAQ (else LAQ)
-    Addr memAddr = 0;         //!< effective address
-    bool isPbr = false;       //!< PBR; taken/target are valid
-    bool branchTaken = false;
-    Addr branchTarget = 0;
-
-    bool operator==(const TraceRecord &other) const = default;
-};
+using TraceRecord = isa::CommittedInst;
 
 /** Trace identity and provenance, serialised in the header. */
 struct TraceMeta

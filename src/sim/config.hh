@@ -50,7 +50,7 @@ struct SimConfig
 
     /**
      * Host-side cooperative cancellation.  When non-null, the tick
-     * loops (Simulator::checkWatchdogs, ReplayMachine::watchdogs)
+     * loops (Simulator::checkWatchdogs, which trace replay runs too)
      * poll it and raise TimeoutAbort once it reads true — how the
      * sweep engine's --point-deadline-ms watchdog stops a point that
      * overran its wall-clock budget without killing the worker.  Not

@@ -391,7 +391,7 @@ runCacheSweep(const SweepSpec &spec, const Program &program,
                   "cycle engine for fault experiments");
         if (spec.preRun || spec.postRun)
             warn("trace-engine sweep: preRun/postRun callbacks do not "
-                 "fire (no Simulator exists under replay)");
+                 "fire (replayTrace builds its Simulators internally)");
     }
 
     std::vector<std::string> headers = {"cache_bytes"};

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "common/abort.hh"
+#include "common/log.hh"
 #include "core/fetch_factory.hh"
 #include "obs/profiler.hh"
 #include "sim/guard.hh"
@@ -25,22 +26,38 @@ SimResult::hasCounter(const std::string &name) const
 }
 
 Simulator::Simulator(const SimConfig &config, const Program &program)
-    : _config(config), _program(program)
+    : _config(config), _program(program),
+      _ownedDataMem(std::make_unique<DataMemory>()),
+      _dataMem(*_ownedDataMem)
 {
     _dataMem.loadProgram(program);
-    _mem = std::make_unique<MemorySystem>(config.mem, _dataMem);
+    build(std::nullopt);
+}
 
-    _fetch = makeFetchUnit(config.fetch, program, *_mem);
+Simulator::Simulator(const SimConfig &config, const Program &program,
+                     const Annotation &annotation, DataMemory &dataMem)
+    : _config(config), _program(program), _dataMem(dataMem)
+{
+    build(annotation);
+}
 
-    _pipeline = std::make_unique<Pipeline>(config.cpu, *_fetch, *_mem);
+void
+Simulator::build(std::optional<Annotation> annotation)
+{
+    _mem = std::make_unique<MemorySystem>(_config.mem, _dataMem);
+
+    _fetch = makeFetchUnit(_config.fetch, _program, *_mem);
+
+    _pipeline = std::make_unique<Pipeline>(_config.cpu, *_fetch, *_mem,
+                                           annotation);
 
     _pipeline->setProbes(&_probes);
     _fetch->setProbes(&_probes);
     _mem->setProbes(&_probes);
 
-    if (config.fault.enabled()) {
+    if (_config.fault.enabled()) {
         _faultInjector =
-            std::make_unique<fault::FaultInjector>(config.fault);
+            std::make_unique<fault::FaultInjector>(_config.fault);
         _mem->setFaultInjector(_faultInjector.get());
         _faultInjector->regStats(_stats, "fault");
     }
@@ -57,7 +74,7 @@ Simulator::Simulator(const SimConfig &config, const Program &program)
     _fetch->regStats(_stats, "fetch");
     _mem->regStats(_stats, "mem");
 
-    if (config.cpiStack) {
+    if (_config.cpiStack) {
         _cpiStack = std::make_unique<obs::CpiStack>();
         _cpiStack->attach(_probes);
         _cpiStack->regStats(_stats, "cpi_stack");
@@ -164,24 +181,91 @@ Simulator::runLoopProfiled()
     flush();
 }
 
+namespace
+{
+
+/**
+ * Run @p loop, decorating an escaping SimAbort with @p sim's snapshot:
+ * components raise it without forensic context (they cannot see the
+ * whole machine), so it is decorated here, once.
+ */
+template <typename Loop>
+void
+withForensics(const Simulator &sim, Loop &&loop)
+{
+    try {
+        loop();
+    } catch (const SimAbort &e) {
+        if (e.hasSnapshot())
+            throw;
+        throw SimAbort(e.what(), sim.snapshot());
+    }
+}
+
+} // namespace
+
 SimResult
 Simulator::run()
 {
-    try {
+    withForensics(*this, [this] {
         // One enabled() check per run: the detached hot path is the
         // exact pre-profiler loop, untouched (see obs/profiler.hh).
         if (obs::Profiler::enabled())
             runLoopProfiled();
         else
             runLoop();
-    } catch (const SimAbort &e) {
-        // Components raise SimAbort without forensic context (they
-        // cannot see the whole machine); decorate it here, once.
-        if (e.hasSnapshot())
-            throw;
-        throw SimAbort(e.what(), snapshot());
-    }
+    });
     return result();
+}
+
+bool
+Simulator::runToRecord(std::size_t record)
+{
+    withForensics(*this, [this, record] {
+        while (_pipeline->nextRecord() < record && !done()) {
+            step();
+            checkWatchdogs();
+        }
+    });
+    return _pipeline->nextRecord() >= record;
+}
+
+void
+Simulator::saveState(StateWriter &w) const
+{
+    if (_faultInjector)
+        fatal("cannot checkpoint a machine with fault injection on");
+    w.u64(_now);
+    w.u64(_lastProgressCycle);
+    w.u64(_lastRetired);
+    _pipeline->saveState(w);
+    _fetch->saveState(w);
+    _mem->saveState(w);
+    // Always the same layout, so a snapshot restores whether or not
+    // either side keeps a CPI stack.
+    for (unsigned i = 0; i < obs::numCycleClasses; ++i)
+        w.u64(_cpiStack ? _cpiStack->component(obs::CycleClass(i)) : 0);
+}
+
+void
+Simulator::restoreState(StateReader &r)
+{
+    _now = r.u64();
+    _lastProgressCycle = r.u64();
+    _lastRetired = r.u64();
+    _pipeline->restoreState(r);
+    _fetch->restoreState(r);
+    _mem->restoreState(r, [this](MemRequest &req) {
+        if (req.cls == ReqClass::Data)
+            _pipeline->rebindDataRequest(req);
+        else
+            _fetch->rebindRequest(req);
+    });
+    for (unsigned i = 0; i < obs::numCycleClasses; ++i) {
+        const std::uint64_t cycles = r.u64();
+        if (_cpiStack)
+            _cpiStack->setComponent(obs::CycleClass(i), cycles);
+    }
 }
 
 MachineSnapshot

@@ -19,6 +19,7 @@
 
 #include "assembler/program.hh"
 #include "common/abort.hh"
+#include "common/state_io.hh"
 #include "common/stats.hh"
 #include "fault/fault.hh"
 #include "core/fetch_unit.hh"
@@ -66,10 +67,35 @@ struct SimResult
 class Simulator
 {
   public:
+    /** A machine that executes @p program on its own backing store. */
     Simulator(const SimConfig &config, const Program &program);
+
+    /**
+     * A trace-replay machine: the pipeline follows @p annotation (see
+     * cpu/pipeline.hh) and runs against the caller's @p dataMem,
+     * which must already hold the program image and outlive the
+     * simulator.  Sampling windows share one backing store this way;
+     * stale values from an earlier window are harmless, since only
+     * the annotated outcomes reach the timing model.
+     */
+    Simulator(const SimConfig &config, const Program &program,
+              const Annotation &annotation, DataMemory &dataMem);
+
+    // Components and probe listeners hold this machine's address.
+    Simulator(const Simulator &) = delete;
+    Simulator &operator=(const Simulator &) = delete;
 
     /** Run until HALT issues and all queues drain. */
     SimResult run();
+
+    /**
+     * Run until the pipeline's next annotation record is @p record or
+     * later, or the machine is done (sampled replay windows).  The
+     * same watchdogs and abort forensics as run(), without host
+     * profiling, so worker threads may call it.
+     * @return true when @p record was reached.
+     */
+    bool runToRecord(std::size_t record);
 
     /** Advance a single cycle (for fine-grained tests). */
     void step();
@@ -108,7 +134,28 @@ class Simulator
      */
     MachineSnapshot snapshot() const;
 
+    /**
+     * Serialize the machine's warm state (clock, pipeline, fetch
+     * unit, memory system, CPI stack).  The backing store is not
+     * included: DataMemory::saveDirtyPages captures it separately,
+     * since a replay's store may outlive any one machine.
+     * @throws FatalError when fault injection is on (the injector's
+     *         state is not serialized).
+     */
+    void saveState(StateWriter &w) const;
+
+    /**
+     * Restore state written by saveState().  The simulator must have
+     * been built from the same config, program and trace that
+     * produced the snapshot (the checkpoint store's cache key
+     * enforces this); the snapshot carries the next trace record.  In-flight memory requests are re-bound to this
+     * machine's pipeline and fetch unit by request class.
+     */
+    void restoreState(StateReader &r);
+
   private:
+    void build(std::optional<Annotation> annotation);
+
     /** The plain run loop: zero host-profiling cost. */
     void runLoop();
 
@@ -125,7 +172,8 @@ class Simulator
 
     SimConfig _config;
     const Program &_program;
-    DataMemory _dataMem;
+    std::unique_ptr<DataMemory> _ownedDataMem;
+    DataMemory &_dataMem;
     obs::ProbeBus _probes;
     std::unique_ptr<MemorySystem> _mem;
     std::unique_ptr<FetchUnit> _fetch;

@@ -215,8 +215,9 @@ applyStandardFlags(SweepSpec &spec, const StandardFlags &flags)
         if (flags.obs.any())
             fatal("--engine trace cannot produce the per-point "
                   "observability outputs (--cpi-stack/--trace-json/"
-                  "--stats-json): replay has no probe bus to attach "
-                  "to; use --engine cycle");
+                  "--stats-json): replay builds its machines inside "
+                  "the replay engine, out of the observers' reach; use "
+                  "--engine cycle");
     }
     installObs(spec, flags);
 }

@@ -27,7 +27,6 @@
 #include "replay/capture.hh"
 #include "replay/checkpoint.hh"
 #include "replay/replay_engine.hh"
-#include "replay/replay_machine.hh"
 #include "replay/trace_format.hh"
 #include "sim/config.hh"
 #include "sim/simulator.hh"
@@ -101,14 +100,14 @@ sampledOptions()
 
 /** Counters, cycle clock and cursor of @p m as one comparable blob. */
 std::vector<std::pair<std::string, std::uint64_t>>
-machineFingerprint(const ReplayMachine &m)
+machineFingerprint(Simulator &m)
 {
     std::vector<std::pair<std::string, std::uint64_t>> fp;
-    fp.emplace_back("~now", m.now);
-    fp.emplace_back("~cursor", m.pipe.cursor());
-    fp.emplace_back("~retired", m.pipe.instructionsRetired());
-    for (const auto &name : m.stats.counterNames())
-        fp.emplace_back(name, m.stats.counterValue(name));
+    fp.emplace_back("~now", m.now());
+    fp.emplace_back("~cursor", m.pipeline().nextRecord());
+    fp.emplace_back("~retired", m.pipeline().instructionsRetired());
+    for (const auto &name : m.stats().counterNames())
+        fp.emplace_back(name, m.stats().counterValue(name));
     return fp;
 }
 
@@ -203,10 +202,9 @@ expectRoundTripAt(const SimConfig &cfg, std::size_t syncPoint,
 
     DataMemory memA;
     memA.loadProgram(program);
-    ReplayMachine a(cfg, program, trace, syncPoint, memA);
-    a.fetch->reset(trace.records[syncPoint].pc);
-    while (a.pipe.cursor() < warmTo && !a.done())
-        a.step();
+    Simulator a(cfg, program, annotationOf(trace, syncPoint), memA);
+    a.fetchUnit().reset(trace.records[syncPoint].pc);
+    a.runToRecord(warmTo);
 
     StateWriter w;
     a.saveState(w);
@@ -215,7 +213,7 @@ expectRoundTripAt(const SimConfig &cfg, std::size_t syncPoint,
 
     DataMemory memB;
     memB.loadProgram(program);
-    ReplayMachine b(cfg, program, trace, syncPoint, memB);
+    Simulator b(cfg, program, annotationOf(trace, syncPoint), memB);
     StateReader r(payload, what);
     b.restoreState(r);
     memB.restoreDirtyPages(r);
@@ -227,10 +225,8 @@ expectRoundTripAt(const SimConfig &cfg, std::size_t syncPoint,
     // ...and still identical after running the same span, so every
     // piece of in-flight state (fill requests, queue contents, FPU
     // pipelines, latches) must have survived the round-trip.
-    while (a.pipe.cursor() < runTo && !a.done())
-        a.step();
-    while (b.pipe.cursor() < runTo && !b.done())
-        b.step();
+    a.runToRecord(runTo);
+    b.runToRecord(runTo);
     EXPECT_EQ(machineFingerprint(a), machineFingerprint(b)) << what;
 }
 
@@ -546,8 +542,8 @@ TEST(CheckpointCorruptionTest, CorruptPayloadFailsRestoreCleanly)
     DataMemory mem;
     mem.loadProgram(program);
     const auto sync = computeSyncPoints(program, trace);
-    ReplayMachine m(cfg, program, trace, sync[0], mem);
-    m.fetch->reset(trace.records[sync[0]].pc);
+    Simulator m(cfg, program, annotationOf(trace, sync[0]), mem);
+    m.fetchUnit().reset(trace.records[sync[0]].pc);
     for (int i = 0; i < 200 && !m.done(); ++i)
         m.step();
     StateWriter w;
@@ -561,7 +557,7 @@ TEST(CheckpointCorruptionTest, CorruptPayloadFailsRestoreCleanly)
                                       payload.begin() + len);
         DataMemory mem2;
         mem2.loadProgram(program);
-        ReplayMachine fresh(cfg, program, trace, sync[0], mem2);
+        Simulator fresh(cfg, program, annotationOf(trace, sync[0]), mem2);
         StateReader r(cut, "truncated payload");
         EXPECT_THROW(fresh.restoreState(r), FatalError)
             << "payload truncated to " << len;

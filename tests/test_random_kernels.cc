@@ -4,7 +4,9 @@
  * random strides and offsets, recurrences included), compile it with
  * the code generator, execute it on the simulated machine under a
  * randomly drawn configuration, and require bit-exact agreement with
- * the host reference interpreter.
+ * the host reference interpreter.  Each seed also drives the replay
+ * oracle: exact replay and a mid-run checkpoint restore must equal
+ * the cycle run on every counter.
  *
  * This exercises the queue discipline (LDQ FIFO pairing, SAQ/SDQ
  * pairing, FPU result FIFOs, spill correctness), the memory ordering
@@ -17,6 +19,7 @@
 #include <random>
 
 #include "common/log.hh"
+#include "replay_oracle.hh"
 #include "sim/simulator.hh"
 #include "workloads/benchmark_program.hh"
 #include "workloads/reference.hh"
@@ -193,6 +196,10 @@ TEST_P(RandomKernel, MatchesReferenceUnderRandomConfig)
     EXPECT_TRUE(workloads::verifyAgainstReference(
         sim.dataMemory(), bench.kernels[0], bench.codeInfo[0], &diag))
         << "seed " << seed << ": " << diag;
+
+    expectReplayOracle(cfg, bench.program,
+                       "seed " + std::to_string(seed) + " strategy " +
+                           cfg.fetchName());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomKernel,

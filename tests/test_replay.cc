@@ -1,9 +1,9 @@
 /**
  * The trace-replay validation harness (docs/trace_replay.md): exact
  * replay must be bit-identical to the cycle simulator — same cycle
- * count, same instruction count, same value for every shared counter
- * — for every Livermore sweep point, and sampled replay must land
- * within its stated error bound.
+ * count, same instruction count, same value for every counter, the
+ * CPI stack included — for every Livermore sweep point, and sampled
+ * replay must land within its stated error bound.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +17,7 @@
 #include "replay/capture.hh"
 #include "replay/replay_engine.hh"
 #include "replay/trace_format.hh"
+#include "replay_oracle.hh"
 #include "sim/experiment.hh"
 #include "sim/simulator.hh"
 #include "sim/standard_flags.hh"
@@ -48,25 +49,8 @@ void
 expectExactMatch(const SimConfig &cfg, const Program &program,
                  const replay::Trace &trace, const std::string &what)
 {
-    const SimResult cycle = runSimulation(cfg, program);
-    const SimResult replayed = replay::replayTrace(cfg, program, trace);
-    EXPECT_EQ(cycle.totalCycles, replayed.totalCycles) << what;
-    EXPECT_EQ(cycle.instructions, replayed.instructions) << what;
-    // Every counter the replay engine reports must exist in the cycle
-    // run with the same value (the cycle run additionally has
-    // cpi_stack counters the replay engine does not model).
-    for (const auto &[name, value] : replayed.counters) {
-        ASSERT_TRUE(cycle.hasCounter(name)) << what << " counter " << name;
-        EXPECT_EQ(cycle.counter(name), value)
-            << what << " counter " << name;
-    }
-    // And the replay engine must not silently drop machine counters.
-    for (const auto &[name, value] : cycle.counters) {
-        if (name.rfind("cpi_stack", 0) == 0)
-            continue;
-        EXPECT_TRUE(replayed.counters.count(name))
-            << what << " missing counter " << name;
-    }
+    expectSameRun(runSimulation(cfg, program),
+                  replay::replayTrace(cfg, program, trace), what);
 }
 
 } // namespace
@@ -126,17 +110,23 @@ TEST(ReplayExactTest, CaptureIsConfigIndependent)
 
 TEST(ReplayExactTest, SyntheticBranchyWorkloadMatches)
 {
-    workloads::BranchySpec bspec;
-    bspec.blocks = 6;
-    bspec.iterations = 40;
-    const auto branchy = workloads::buildBranchyProgram(bspec);
-    const replay::Trace trace = replay::captureTrace(
-        SimConfig{}, branchy.program, "branchy");
-    SweepSpec spec;
-    for (const std::string strategy : {"conv", "16-16", "tib"}) {
-        const auto cfg = makeValidSweepConfig(spec, strategy, 64);
-        ASSERT_TRUE(cfg);
-        expectExactMatch(*cfg, branchy.program, trace, strategy);
+    for (const std::uint32_t seed : {0x2545f491u, 7u, 0xc0ffeeu}) {
+        workloads::BranchySpec bspec;
+        bspec.blocks = 6;
+        bspec.iterations = 40;
+        bspec.seed = seed;
+        const auto branchy = workloads::buildBranchyProgram(bspec);
+        const replay::Trace trace = replay::captureTrace(
+            SimConfig{}, branchy.program, "branchy");
+        SweepSpec spec;
+        for (const std::string strategy : {"conv", "16-16", "tib"}) {
+            const auto cfg = makeValidSweepConfig(spec, strategy, 64);
+            ASSERT_TRUE(cfg);
+            const std::string what =
+                "seed " + std::to_string(seed) + " " + strategy;
+            expectExactMatch(*cfg, branchy.program, trace, what);
+            expectReplayOracle(*cfg, branchy.program, what);
+        }
     }
 }
 
@@ -168,6 +158,31 @@ TEST(ReplayGuardTest, FaultInjectionIsFatal)
     EXPECT_THROW(replay::replayTrace(cfg, tinyBenchmark().program,
                                      tinyTrace()),
                  FatalError);
+}
+
+TEST(ReplayGuardTest, WatchdogAbortCarriesSnapshot)
+{
+    SimConfig cfg;
+    cfg.maxCycles = 200;
+    replay::ReplayOptions sampled;
+    sampled.samplePeriod = 2000;
+    sampled.sampleWarmup = 200;
+    sampled.sampleMeasure = 500;
+    for (const auto &opt : {replay::ReplayOptions{}, sampled}) {
+        const std::string mode =
+            opt.samplePeriod ? "sampled replay" : "exact replay";
+        try {
+            replay::replayTrace(cfg, tinyBenchmark().program, tinyTrace(),
+                                opt);
+            ADD_FAILURE() << mode << " ran past maxCycles";
+        } catch (const SimAbort &e) {
+            ASSERT_TRUE(e.hasSnapshot()) << mode;
+            EXPECT_FALSE(e.snapshot().lastRetiredPcs.empty()) << mode;
+            EXPECT_NE(e.snapshot().pipelineState.find("next trace record"),
+                      std::string::npos)
+                << mode;
+        }
+    }
 }
 
 TEST(ReplaySampledTest, EstimateWithinBoundAndDeterministic)
