@@ -46,7 +46,7 @@ void
 ConventionalFetchUnit::reset(Addr entry)
 {
     _want.reset();
-    _outstanding = false;
+    _offchipInFlight = false;
     _prefetchAddr.reset();
     _missRecordedFor.reset();
     _follower.reset(entry);
@@ -67,8 +67,8 @@ ConventionalFetchUnit::firstMissing(Addr addr, unsigned bytes) const
 bool
 ConventionalFetchUnit::inflightCovers(Addr addr) const
 {
-    return _outstanding && addr >= _outstandingAddr &&
-           addr < _outstandingAddr + _outstandingBytes;
+    return _offchipInFlight && addr >= _inFlight.addr &&
+           addr < _inFlight.addr + _inFlight.bytes;
 }
 
 MemRequest
@@ -83,34 +83,27 @@ ConventionalFetchUnit::makeRequest(Addr addr, ReqClass cls)
     req.bytes = _busRegionBytes;
     req.isStore = false;
     req.cls = cls;
-    bindRequestCallbacks(req);
     return req;
 }
 
 void
-ConventionalFetchUnit::bindRequestCallbacks(MemRequest &req)
+ConventionalFetchUnit::onFillComplete(const MemRequest &req)
 {
-    req.onBeat = [this](Addr a, unsigned n) { onBeatArrived(a, n); };
-    req.onComplete = [this]() {
-        if (_probes && _probes->fetchFill.active()) {
-            _probes->fetchFill.notify(obs::FetchEvent{
-                _obsNow, _outstandingAddr, _outstandingBytes, false});
-        }
-        _outstanding = false;
-        noteGoodFill();
-    };
-    req.onParityError = [this]() {
-        // No beats were delivered, so the region's sub-blocks are
-        // still invalid; the demand/prefetch paths simply re-request.
-        _outstanding = false;
-        noteParityError(_outstandingAddr, _outstandingBytes);
-    };
+    if (_probes && _probes->fetchFill.active()) {
+        _probes->fetchFill.notify(
+            obs::FetchEvent{_obsNow, req.addr, req.bytes, false});
+    }
+    _offchipInFlight = false;
+    noteGoodFill();
 }
 
 void
-ConventionalFetchUnit::rebindRequest(MemRequest &req)
+ConventionalFetchUnit::onFillParityError(const MemRequest &req)
 {
-    bindRequestCallbacks(req);
+    // No beats were delivered, so the region's sub-blocks are still
+    // invalid; the demand/prefetch paths simply re-request.
+    _offchipInFlight = false;
+    noteParityError(req.addr, req.bytes);
 }
 
 void
@@ -133,7 +126,7 @@ ConventionalFetchUnit::tick(Cycle now)
     // prefetch of the next sequential location (lowest priority at
     // the memory interface), before the PC re-checks the cache --
     // this is how Hill's model gets ahead of the instruction stream.
-    if (_cfg.alwaysPrefetch && _prefetchAddr && !_outstanding &&
+    if (_cfg.alwaysPrefetch && _prefetchAddr && !_offchipInFlight &&
         !_want) {
         const Addr p = *_prefetchAddr;
         const Addr region = Addr(alignDown(p, _busRegionBytes));
@@ -163,7 +156,7 @@ ConventionalFetchUnit::tick(Cycle now)
     }
     if (inflightCovers(*missing))
         return; // the in-flight request will satisfy it
-    if (!_outstanding && !_want) {
+    if (!_offchipInFlight && !_want) {
         _want = makeRequest(*missing, ReqClass::IFetchDemand);
         ++_demandFetches;
     } else if (_want && _want->cls == ReqClass::IPrefetch) {
@@ -218,29 +211,6 @@ ConventionalFetchUnit::branchResolved(bool taken, Addr target)
     _follower.resolved(taken, target);
 }
 
-std::optional<MemRequest>
-ConventionalFetchUnit::peekOffchip(ReqClass cls)
-{
-    if (_want && _want->cls == cls)
-        return _want;
-    return std::nullopt;
-}
-
-void
-ConventionalFetchUnit::offchipAccepted()
-{
-    PIPESIM_ASSERT(_want, "acceptance with no request outstanding");
-    if (_probes && _probes->fetchRequest.active()) {
-        _probes->fetchRequest.notify(obs::FetchEvent{
-            _obsNow, _want->addr, _want->bytes,
-            _want->cls == ReqClass::IFetchDemand});
-    }
-    _outstanding = true;
-    _outstandingAddr = _want->addr;
-    _outstandingBytes = _want->bytes;
-    _want.reset();
-}
-
 void
 ConventionalFetchUnit::dumpState(std::ostream &os) const
 {
@@ -251,9 +221,9 @@ ConventionalFetchUnit::dumpState(std::ostream &os) const
     else
         os << " decode blocked on an unresolved branch";
     os << "\n";
-    if (_outstanding) {
-        os << "  outstanding fetch: 0x" << std::hex << _outstandingAddr
-           << std::dec << " (" << _outstandingBytes << " B)\n";
+    if (_offchipInFlight) {
+        os << "  outstanding fetch: 0x" << std::hex << _inFlight.addr
+           << std::dec << " (" << _inFlight.bytes << " B)\n";
     }
     if (_want) {
         os << "  queued request: 0x" << std::hex << _want->addr
@@ -277,9 +247,9 @@ ConventionalFetchUnit::saveState(StateWriter &w) const
     w.b(_want.has_value());
     if (_want)
         saveMemRequest(w, *_want);
-    w.b(_outstanding);
-    w.u32(_outstandingAddr);
-    w.u32(_outstandingBytes);
+    w.b(_offchipInFlight);
+    w.u32(_inFlight.addr);
+    w.u32(_inFlight.bytes);
     w.b(_prefetchAddr.has_value());
     if (_prefetchAddr)
         w.u32(*_prefetchAddr);
@@ -298,14 +268,11 @@ ConventionalFetchUnit::restoreState(StateReader &r)
     _follower.restoreState(r);
     _cache.restoreState(r);
     _want.reset();
-    if (r.b()) {
-        MemRequest req = restoreMemRequest(r);
-        bindRequestCallbacks(req);
-        _want = std::move(req);
-    }
-    _outstanding = r.b();
-    _outstandingAddr = r.u32();
-    _outstandingBytes = r.u32();
+    if (r.b())
+        _want = restoreMemRequest(r);
+    _offchipInFlight = r.b();
+    _inFlight.addr = r.u32();
+    _inFlight.bytes = r.u32();
     _prefetchAddr.reset();
     if (r.b())
         _prefetchAddr = r.u32();

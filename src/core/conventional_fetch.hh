@@ -51,13 +51,14 @@ class ConventionalFetchUnit : public FetchUnit
     void dumpState(std::ostream &os) const override;
     void saveState(StateWriter &w) const override;
     void restoreState(StateReader &r) override;
-    void rebindRequest(MemRequest &req) override;
 
     const SubblockCache &cache() const { return _cache; }
 
   protected:
-    std::optional<MemRequest> peekOffchip(ReqClass cls) override;
-    void offchipAccepted() override;
+    void onFillAccepted(const MemRequest &req) override { _inFlight = req; }
+    void onBeatArrived(Addr addr, unsigned bytes) override;
+    void onFillComplete(const MemRequest &req) override;
+    void onFillParityError(const MemRequest &req) override;
 
   private:
     /** First sub-block of [addr, addr+bytes) missing from the cache. */
@@ -69,19 +70,12 @@ class ConventionalFetchUnit : public FetchUnit
     /** True if the outstanding request will fill @p addr's sub-block. */
     bool inflightCovers(Addr addr) const;
 
-    void onBeatArrived(Addr addr, unsigned bytes);
-
-    /** Attach the fill callbacks to @p req (creation and rebind). */
-    void bindRequestCallbacks(MemRequest &req);
-
     FetchConfig _cfg;
     SubblockCache _cache;
     StreamFollower _follower;
 
-    std::optional<MemRequest> _want;
-    bool _outstanding = false;
-    Addr _outstandingAddr = 0;
-    unsigned _outstandingBytes = 0;
+    /** The request whose fill is in flight (while _offchipInFlight). */
+    MemRequest _inFlight;
 
     /** Pending always-prefetch target (set on each reference). */
     std::optional<Addr> _prefetchAddr;

@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "common/abort.hh"
+#include "common/log.hh"
 
 namespace pipesim
 {
@@ -31,6 +32,20 @@ FetchUnit::decodeAt(Addr addr) const
     // The simulation halts before such instructions ever issue; they
     // only exist so prefetch lookahead can run off the end of code.
     return isa::decode(0, 0, _program.mode());
+}
+
+void
+FetchUnit::offchipAccepted()
+{
+    PIPESIM_ASSERT(_want, "acceptance with no request outstanding");
+    if (_probes && _probes->fetchRequest.active()) {
+        _probes->fetchRequest.notify(obs::FetchEvent{
+            _obsNow, _want->addr, _want->bytes,
+            _want->cls == ReqClass::IFetchDemand});
+    }
+    _offchipInFlight = true;
+    onFillAccepted(*_want);
+    _want.reset();
 }
 
 unsigned

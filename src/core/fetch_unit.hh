@@ -123,18 +123,11 @@ class FetchUnit
 
     /**
      * Restore state saved by saveState() on a unit built from the
-     * same FetchConfig and Program; re-binds the callbacks of any
-     * pending request the unit holds.
+     * same FetchConfig and Program.  Fills in flight in the memory
+     * system need nothing re-attached: their responses reach this
+     * unit through its registered clients.
      */
     virtual void restoreState(StateReader &r) = 0;
-
-    /**
-     * Re-attach this unit's callbacks to an in-flight instruction
-     * fill restored by MemorySystem::restoreState (the request's
-     * address identifies the fill; the unit's restored fill state
-     * must agree with it).
-     */
-    virtual void rebindRequest(MemRequest &req) = 0;
 
     /**
      * Attach the probe bus the unit emits into: icacheAccess on every
@@ -146,8 +139,9 @@ class FetchUnit
 
   protected:
     /**
-     * MemClient adapter: routes the memory system's pull requests to
-     * the owning unit, filtered by request class.
+     * MemClient adapter: offers the unit's wanted request when it has
+     * this port's class, and routes the responses of either class to
+     * the unit's fill handlers.
      */
     class ClientPort : public MemClient
     {
@@ -160,21 +154,49 @@ class FetchUnit
         std::optional<MemRequest>
         peek() override
         {
-            return _unit.peekOffchip(_cls);
+            if (_unit._want && _unit._want->cls == _cls)
+                return _unit._want;
+            return std::nullopt;
         }
 
         void accepted() override { _unit.offchipAccepted(); }
+        void beat(Addr a, unsigned n) override { _unit.onBeatArrived(a, n); }
+
+        void
+        completed(const MemRequest &req) override
+        {
+            _unit.onFillComplete(req);
+        }
+
+        void
+        parityError(const MemRequest &req) override
+        {
+            _unit.onFillParityError(req);
+        }
 
       private:
         FetchUnit &_unit;
         ReqClass _cls;
     };
 
-    /** The unit's candidate off-chip request of class @p cls. */
-    virtual std::optional<MemRequest> peekOffchip(ReqClass cls) = 0;
+    /** The wanted request was accepted on the output bus. */
+    void offchipAccepted();
 
-    /** The candidate request was accepted on the output bus. */
-    virtual void offchipAccepted() = 0;
+    /** Hook: @p req was accepted; its fill is now in flight. */
+    virtual void onFillAccepted(const MemRequest &) {}
+
+    /** One beat [addr, addr+bytes) of the in-flight fill arrived. */
+    virtual void onBeatArrived(Addr addr, unsigned bytes) = 0;
+
+    /** The last beat of the in-flight fill @p req arrived. */
+    virtual void onFillComplete(const MemRequest &req) = 0;
+
+    /**
+     * The in-flight fill @p req ended in an injected parity error
+     * (no beat of it arrived): roll back the fill state so the fetch
+     * is retried, and count the retry with noteParityError().
+     */
+    virtual void onFillParityError(const MemRequest &req) = 0;
 
     /** Decode the instruction at @p addr from the program image. */
     isa::Instruction decodeAt(Addr addr) const;
@@ -218,15 +240,20 @@ class FetchUnit
     MemorySystem &_mem;
     ClientPort _demandPort;
     ClientPort _prefetchPort;
+    /** The next off-chip request, offered under its current class. */
+    std::optional<MemRequest> _want;
+    /** An accepted request's fill has not fully arrived yet. */
+    bool _offchipInFlight = false;
     obs::ProbeBus *_probes = nullptr;
     /** See FetchConfig::parityRetryLimit (subclasses copy it here). */
     unsigned _parityRetryLimit = 4;
     unsigned _consecutiveParityErrors = 0;
     Counter _parityRetries;
     /**
-     * Cycle of the most recent tick().  Acceptance and fill callbacks
-     * fire from the memory system's tick, which runs after the fetch
-     * tick in the same cycle, so stamping events with this is exact.
+     * Cycle of the most recent tick().  Acceptance and fill responses
+     * arrive from the memory system's tick, which runs after the
+     * fetch tick in the same cycle, so stamping events with this is
+     * exact.
      */
     Cycle _obsNow = 0;
 };

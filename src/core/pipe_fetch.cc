@@ -281,39 +281,26 @@ PipeFetchUnit::startFillIfNeeded()
         ++_offchipDemandLines;
     else
         ++_offchipPrefetchLines;
-    bindFillCallbacks(req);
-    _want = std::move(req);
+    _want = req;
 }
 
 void
-PipeFetchUnit::bindFillCallbacks(MemRequest &req)
+PipeFetchUnit::onFillParityError(const MemRequest &)
 {
-    req.onBeat = [this](Addr addr, unsigned bytes) {
-        onBeatArrived(addr, bytes);
-    };
-    req.onComplete = [this]() { onFillComplete(); };
-    req.onParityError = [this]() {
-        // A corrupted transfer delivered no beats, so nothing was
-        // appended and the allocated line is still invalid: dropping
-        // the fill makes the next tick re-plan and re-request it.
-        PIPESIM_ASSERT(_fill && _fill->offchip,
-                       "parity error with no off-chip fill active");
-        const Addr line = _fill->lineBase;
-        const bool dead = _fill->dead;
-        if (_fill->newSegment && _follower.hasPending() &&
-            _follower.frontId() == _targetPlannedId)
-            _targetPlannedId = std::uint64_t(-1);
-        _offchipInFlight = false;
-        _fill.reset();
-        if (!dead)
-            noteParityError(line, _cfg.lineBytes);
-    };
-}
-
-void
-PipeFetchUnit::rebindRequest(MemRequest &req)
-{
-    bindFillCallbacks(req);
+    // A corrupted transfer delivered no beats, so nothing was
+    // appended and the allocated line is still invalid: dropping the
+    // fill makes the next tick re-plan and re-request it.
+    PIPESIM_ASSERT(_fill && _fill->offchip,
+                   "parity error with no off-chip fill active");
+    const Addr line = _fill->lineBase;
+    const bool dead = _fill->dead;
+    if (_fill->newSegment && _follower.hasPending() &&
+        _follower.frontId() == _targetPlannedId)
+        _targetPlannedId = std::uint64_t(-1);
+    _offchipInFlight = false;
+    _fill.reset();
+    if (!dead)
+        noteParityError(line, _cfg.lineBytes);
 }
 
 void
@@ -354,7 +341,7 @@ PipeFetchUnit::onBeatArrived(Addr addr, unsigned bytes)
 }
 
 void
-PipeFetchUnit::onFillComplete()
+PipeFetchUnit::onFillComplete(const MemRequest &)
 {
     if (_probes && _probes->fetchFill.active() && _fill) {
         _probes->fetchFill.notify(obs::FetchEvent{
@@ -363,27 +350,6 @@ PipeFetchUnit::onFillComplete()
     _offchipInFlight = false;
     _fill.reset();
     noteGoodFill();
-}
-
-std::optional<MemRequest>
-PipeFetchUnit::peekOffchip(ReqClass cls)
-{
-    if (_want && _want->cls == cls)
-        return _want;
-    return std::nullopt;
-}
-
-void
-PipeFetchUnit::offchipAccepted()
-{
-    PIPESIM_ASSERT(_want, "acceptance with no request outstanding");
-    if (_probes && _probes->fetchRequest.active()) {
-        _probes->fetchRequest.notify(obs::FetchEvent{
-            _obsNow, _want->addr, _want->bytes,
-            _want->cls == ReqClass::IFetchDemand});
-    }
-    _offchipInFlight = true;
-    _want.reset();
 }
 
 void
@@ -526,11 +492,8 @@ PipeFetchUnit::restoreState(StateReader &r)
         _fill = f;
     }
     _want.reset();
-    if (r.b()) {
-        MemRequest req = restoreMemRequest(r);
-        bindFillCallbacks(req);
-        _want = std::move(req);
-    }
+    if (r.b())
+        _want = restoreMemRequest(r);
     _offchipInFlight = r.b();
     _squashDoneId = r.u64();
     _targetPlannedId = r.u64();

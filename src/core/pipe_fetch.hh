@@ -60,7 +60,6 @@ class PipeFetchUnit : public FetchUnit
     void dumpState(std::ostream &os) const override;
     void saveState(StateWriter &w) const override;
     void restoreState(StateReader &r) override;
-    void rebindRequest(MemRequest &req) override;
 
     const InstructionCache &cache() const { return _cache; }
 
@@ -68,8 +67,9 @@ class PipeFetchUnit : public FetchUnit
     unsigned bufferedBytes() const { return _occupancy; }
 
   protected:
-    std::optional<MemRequest> peekOffchip(ReqClass cls) override;
-    void offchipAccepted() override;
+    void onBeatArrived(Addr addr, unsigned bytes) override;
+    void onFillComplete(const MemRequest &req) override;
+    void onFillParityError(const MemRequest &req) override;
 
   private:
     /** A contiguous run of buffered stream bytes. */
@@ -119,12 +119,6 @@ class PipeFetchUnit : public FetchUnit
     /** True if the decoder is starving for bytes at nextAddr(). */
     bool decoderStarving() const;
 
-    void onBeatArrived(Addr addr, unsigned bytes);
-    void onFillComplete();
-
-    /** Attach the fill callbacks to @p req (creation and rebind). */
-    void bindFillCallbacks(MemRequest &req);
-
     FetchConfig _cfg;
     InstructionCache _cache;
     StreamFollower _follower;
@@ -134,8 +128,6 @@ class PipeFetchUnit : public FetchUnit
     unsigned _capacity;
 
     std::optional<Fill> _fill;
-    std::optional<MemRequest> _want;
-    bool _offchipInFlight = false;
 
     /** Redirect ids whose squash/retarget handling already ran. */
     std::uint64_t _squashDoneId = std::uint64_t(-1);

@@ -224,55 +224,43 @@ TibFetchUnit::startFetchIfNeeded()
     req.isStore = false;
     const bool demand = decoderStarving() || _buffer.empty();
     req.cls = demand ? ReqClass::IFetchDemand : ReqClass::IPrefetch;
-    bindFetchCallbacks(req);
-    _want = std::move(req);
+    _want = req;
     ++_offchipFetches;
 }
 
 void
-TibFetchUnit::bindFetchCallbacks(MemRequest &req)
+TibFetchUnit::onFillComplete(const MemRequest &req)
 {
-    // The fetch's base address identifies it in the callbacks; taking
-    // it from the request (rather than a captured local) lets restored
-    // in-flight requests re-bind with identical behaviour.
-    const Addr start = req.addr;
-    req.onBeat = [this](Addr addr, unsigned bytes) {
-        onBeatArrived(addr, bytes);
-    };
-    req.onComplete = [this, start]() {
-        if (_probes && _probes->fetchFill.active())
-            _probes->fetchFill.notify(
-                obs::FetchEvent{_obsNow, start, _entryBytes, false});
-        _offchipInFlight = false;
-        _fetch.reset();
-        noteGoodFill();
-    };
-    req.onParityError = [this, start]() {
-        // Nothing was appended (no beats); undo the planning side
-        // effects so the next tick re-plans the identical fetch.  A
-        // TIB-miss fetch popped its pending target and left the entry
-        // with zero valid bytes -- restoring the target makes the
-        // retry take the same miss path and refill the entry.
-        PIPESIM_ASSERT(_fetch, "parity error with no fetch active");
-        const bool dead = _fetch->dead;
-        const bool retargeted = _fetch->retargeted;
-        const bool was_tib = _fetch->fillTibTarget.has_value();
-        _offchipInFlight = false;
-        _fetch.reset();
-        if (dead)
-            return;
-        if (retargeted)
-            _targetPlannedId = std::uint64_t(-1);
-        if (was_tib)
-            _pendingTargets.push_front(start);
-        noteParityError(start, _entryBytes);
-    };
+    if (_probes && _probes->fetchFill.active())
+        _probes->fetchFill.notify(
+            obs::FetchEvent{_obsNow, req.addr, _entryBytes, false});
+    _offchipInFlight = false;
+    _fetch.reset();
+    noteGoodFill();
 }
 
 void
-TibFetchUnit::rebindRequest(MemRequest &req)
+TibFetchUnit::onFillParityError(const MemRequest &req)
 {
-    bindFetchCallbacks(req);
+    // Nothing was appended (no beats); undo the planning side effects
+    // so the next tick re-plans the identical fetch.  A TIB-miss
+    // fetch popped its pending target and left the entry with zero
+    // valid bytes -- restoring the target (the request's base
+    // address) makes the retry take the same miss path and refill
+    // the entry.
+    PIPESIM_ASSERT(_fetch, "parity error with no fetch active");
+    const bool dead = _fetch->dead;
+    const bool retargeted = _fetch->retargeted;
+    const bool was_tib = _fetch->fillTibTarget.has_value();
+    _offchipInFlight = false;
+    _fetch.reset();
+    if (dead)
+        return;
+    if (retargeted)
+        _targetPlannedId = std::uint64_t(-1);
+    if (was_tib)
+        _pendingTargets.push_front(req.addr);
+    noteParityError(req.addr, _entryBytes);
 }
 
 void
@@ -296,27 +284,6 @@ TibFetchUnit::onBeatArrived(Addr addr, unsigned bytes)
     PIPESIM_ASSERT(lo == _fetch->nextByte, "non-streaming append");
     appendBytes(lo, hi - lo);
     _fetch->nextByte = hi;
-}
-
-std::optional<MemRequest>
-TibFetchUnit::peekOffchip(ReqClass cls)
-{
-    if (_want && _want->cls == cls)
-        return _want;
-    return std::nullopt;
-}
-
-void
-TibFetchUnit::offchipAccepted()
-{
-    PIPESIM_ASSERT(_want, "acceptance with no request outstanding");
-    if (_probes && _probes->fetchRequest.active()) {
-        _probes->fetchRequest.notify(obs::FetchEvent{
-            _obsNow, _want->addr, _want->bytes,
-            _want->cls == ReqClass::IFetchDemand});
-    }
-    _offchipInFlight = true;
-    _want.reset();
 }
 
 void
@@ -470,11 +437,8 @@ TibFetchUnit::restoreState(StateReader &r)
         _fetch = f;
     }
     _want.reset();
-    if (r.b()) {
-        MemRequest req = restoreMemRequest(r);
-        bindFetchCallbacks(req);
-        _want = std::move(req);
-    }
+    if (r.b())
+        _want = restoreMemRequest(r);
     _offchipInFlight = r.b();
     _squashDoneId = r.u64();
     _targetPlannedId = r.u64();

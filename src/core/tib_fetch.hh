@@ -59,14 +59,14 @@ class TibFetchUnit : public FetchUnit
     void dumpState(std::ostream &os) const override;
     void saveState(StateWriter &w) const override;
     void restoreState(StateReader &r) override;
-    void rebindRequest(MemRequest &req) override;
 
     unsigned numEntries() const { return unsigned(_entries.size()); }
     unsigned entryBytes() const { return _entryBytes; }
 
   protected:
-    std::optional<MemRequest> peekOffchip(ReqClass cls) override;
-    void offchipAccepted() override;
+    void onBeatArrived(Addr addr, unsigned bytes) override;
+    void onFillComplete(const MemRequest &req) override;
+    void onFillParityError(const MemRequest &req) override;
 
   private:
     struct TibEntry
@@ -93,11 +93,6 @@ class TibFetchUnit : public FetchUnit
     Addr staticWalk(Addr addr, unsigned n) const;
     bool decoderStarving() const;
 
-    void onBeatArrived(Addr addr, unsigned bytes);
-
-    /** Attach the fetch callbacks to @p req (creation and rebind). */
-    void bindFetchCallbacks(MemRequest &req);
-
     FetchConfig _cfg;
     StreamFollower _follower;
     std::vector<TibEntry> _entries;
@@ -120,8 +115,6 @@ class TibFetchUnit : public FetchUnit
         bool retargeted = false;
     };
     std::optional<Fetch> _fetch;
-    std::optional<MemRequest> _want;
-    bool _offchipInFlight = false;
 
     std::uint64_t _squashDoneId = std::uint64_t(-1);
 

@@ -56,7 +56,6 @@ Pipeline::peekDataOp()
         req.addr = laq.front().addr;
         req.isStore = false;
         req.dataSeq = _loadsAccepted;
-        req.onData = [this](Word value) { deliverLoad(value); };
     } else {
         // A store needs its data; program order blocks behind it
         // until the SDQ entry is produced.
@@ -76,13 +75,6 @@ Pipeline::deliverLoad(Word value)
                    "LDQ overflow: reservation logic broken");
     _queues.ldq().push(value);
     ++_loadsDelivered;
-}
-
-void
-Pipeline::rebindDataRequest(MemRequest &req)
-{
-    if (!req.isStore)
-        req.onData = [this](Word value) { deliverLoad(value); };
 }
 
 void
@@ -118,6 +110,12 @@ void
 Pipeline::DataPort::accepted()
 {
     _owner.dataOpAccepted();
+}
+
+void
+Pipeline::DataPort::loadValue(const MemRequest &, Word value)
+{
+    _owner.deliverLoad(value);
 }
 
 Pipeline::StallReason

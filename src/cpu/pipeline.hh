@@ -140,22 +140,19 @@ class Pipeline
      */
     void restoreState(StateReader &r);
 
-    /**
-     * Re-attach this pipeline's callbacks to an in-flight Data-class
-     * request restored by MemorySystem::restoreState (the binding
-     * peekDataOp makes: loads deliver into the LDQ, stores have no
-     * callbacks).
-     */
-    void rebindDataRequest(MemRequest &req);
-
   private:
-    /** MemClient presenting LAQ/SAQ traffic in program order. */
+    /**
+     * MemClient presenting LAQ/SAQ traffic in program order; load
+     * values come back through it into the LDQ (stores deliver
+     * nothing).
+     */
     class DataPort : public MemClient
     {
       public:
         explicit DataPort(Pipeline &owner) : _owner(owner) {}
         std::optional<MemRequest> peek() override;
         void accepted() override;
+        void loadValue(const MemRequest &req, Word value) override;
 
       private:
         Pipeline &_owner;

@@ -5,19 +5,19 @@
 namespace pipesim::isa
 {
 
-std::vector<std::uint8_t>
+SrcRegs
 Instruction::srcRegs() const
 {
     const OpcodeInfo &info = opcodeInfo(op);
-    std::vector<std::uint8_t> regs;
+    SrcRegs regs;
     if (info.hasRs1)
-        regs.push_back(rs1);
+        regs.push(rs1);
     if (info.hasRs2)
-        regs.push_back(rs2);
+        regs.push(rs2);
     // PBR reads the condition register unless the branch is
     // unconditional.
     if (op == Opcode::Pbr && cond != Cond::Always)
-        regs.push_back(rs1);
+        regs.push(rs1);
     return regs;
 }
 

@@ -7,14 +7,32 @@
 #ifndef PIPESIM_ISA_INSTRUCTION_HH
 #define PIPESIM_ISA_INSTRUCTION_HH
 
+#include <array>
 #include <cstdint>
-#include <vector>
 
 #include "common/types.hh"
 #include "isa/opcodes.hh"
 
 namespace pipesim::isa
 {
+
+/**
+ * The source registers of one instruction (at most three), held
+ * inline so asking for them allocates nothing; iterates in the
+ * order the values are consumed.
+ */
+class SrcRegs
+{
+  public:
+    void push(std::uint8_t r) { _regs[_count++] = r; }
+
+    const std::uint8_t *begin() const { return _regs.data(); }
+    const std::uint8_t *end() const { return _regs.data() + _count; }
+
+  private:
+    std::array<std::uint8_t, 3> _regs{};
+    std::uint8_t _count = 0;
+};
 
 /**
  * A fully decoded PIPE instruction.
@@ -46,7 +64,7 @@ struct Instruction
      * values are consumed.  Order matters for r7: each appearance
      * pops one Load Data Queue entry.
      */
-    std::vector<std::uint8_t> srcRegs() const;
+    SrcRegs srcRegs() const;
 
     /** @return true if this instruction writes data register @p r. */
     bool writesReg(std::uint8_t r) const;

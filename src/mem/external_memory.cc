@@ -31,7 +31,7 @@ ExternalMemory::accept(MemRequest req, Cycle now)
         ++_reads;
     // extraLatency is the injected response jitter (0 normally).
     const Cycle ready = now + _accessTime + req.extraLatency;
-    _inflight.push_back(InFlight{std::move(req), ready});
+    _inflight.push_back(InFlight{req, ready});
 }
 
 void
@@ -40,12 +40,8 @@ ExternalMemory::tick(Cycle now)
     if (!_inflight.empty())
         ++_busyCycles;
     while (!_inflight.empty() && _inflight.front().req.isStore &&
-           _inflight.front().readyAt <= now) {
-        auto req = std::move(_inflight.front().req);
+           _inflight.front().readyAt <= now)
         _inflight.pop_front();
-        if (req.onComplete)
-            req.onComplete();
-    }
 }
 
 std::optional<MemRequest>
@@ -64,7 +60,7 @@ ExternalMemory::popReady(Cycle now)
 {
     auto ready = peekReady(now);
     PIPESIM_ASSERT(ready, "popReady with no ready response");
-    MemRequest req = std::move(_inflight.front().req);
+    const MemRequest req = _inflight.front().req;
     _inflight.pop_front();
     return req;
 }

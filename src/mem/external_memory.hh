@@ -53,7 +53,7 @@ class ExternalMemory
 
     /**
      * Retire completed stores from the head of the in-flight queue
-     * (stores need no bus transfer).  Fires their onComplete.
+     * (stores need no bus transfer and deliver no response).
      */
     void tick(Cycle now);
 
@@ -81,8 +81,7 @@ class ExternalMemory
 
     void regStats(StatGroup &stats, const std::string &prefix);
 
-    /** Serialize timing state for a checkpoint.  @p rebind re-binds
-     *  restored requests' callbacks (see saveMemRequest). */
+    /** Serialize timing state for a checkpoint. */
     void saveState(StateWriter &w) const
     {
         w.b(_transferring);
@@ -96,8 +95,7 @@ class ExternalMemory
         w.u64(_busyCycles.value());
     }
 
-    void restoreState(StateReader &r,
-                      const std::function<void(MemRequest &)> &rebind)
+    void restoreState(StateReader &r)
     {
         _transferring = r.b();
         _inflight.clear();
@@ -105,9 +103,8 @@ class ExternalMemory
         for (std::uint32_t i = 0; i < n; ++i) {
             InFlight f;
             f.req = restoreMemRequest(r);
-            rebind(f.req);
             f.readyAt = r.u64();
-            _inflight.push_back(std::move(f));
+            _inflight.push_back(f);
         }
         _reads.set(r.u64());
         _writes.set(r.u64());

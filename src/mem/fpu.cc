@@ -58,7 +58,7 @@ FpuDevice::queueRead(const MemRequest &req, Cycle now)
     const unsigned off = offsetOf(req.addr);
     if (off != 8)
         fatal("load from FPU operand address ", req.addr);
-    _reads[unsigned(kindOf(req.addr))].push_back(PendingRead{req});
+    _reads[unsigned(kindOf(req.addr))].push_back(req);
 }
 
 std::optional<FpuDevice::ReadyRead>
@@ -67,22 +67,22 @@ FpuDevice::peekReady(Cycle now) const
     // Among kinds with both a pending read and a ready result, return
     // the one whose read is oldest in data-sequence order, so the
     // caller can enforce in-order LDQ fill.
-    const PendingRead *best = nullptr;
+    const MemRequest *best = nullptr;
     const Result *best_result = nullptr;
     for (unsigned k = 0; k < unsigned(FpuOp::NumOps); ++k) {
         if (_reads[k].empty() || _results[k].empty())
             continue;
         if (_results[k].front().readyAt > now)
             continue;
-        const PendingRead &pr = _reads[k].front();
-        if (!best || pr.req.dataSeq < best->req.dataSeq) {
-            best = &pr;
+        const MemRequest &read = _reads[k].front();
+        if (!best || read.dataSeq < best->dataSeq) {
+            best = &read;
             best_result = &_results[k].front();
         }
     }
     if (!best)
         return std::nullopt;
-    return ReadyRead{best->req, best_result->value};
+    return ReadyRead{*best, best_result->value};
 }
 
 void

@@ -112,15 +112,14 @@ class FpuDevice
         }
         for (const auto &kind : _reads) {
             w.u32(std::uint32_t(kind.size()));
-            for (const PendingRead &pr : kind)
-                saveMemRequest(w, pr.req);
+            for (const MemRequest &req : kind)
+                saveMemRequest(w, req);
         }
         w.u64(_opsStarted.value());
         w.u64(_resultsReturned.value());
     }
 
-    void restoreState(StateReader &r,
-                      const std::function<void(MemRequest &)> &rebind)
+    void restoreState(StateReader &r)
     {
         for (Word &a : _latchA)
             a = r.u32();
@@ -137,12 +136,8 @@ class FpuDevice
         for (auto &kind : _reads) {
             kind.clear();
             const std::uint32_t n = r.u32();
-            for (std::uint32_t i = 0; i < n; ++i) {
-                PendingRead pr;
-                pr.req = restoreMemRequest(r);
-                rebind(pr.req);
-                kind.push_back(std::move(pr));
-            }
+            for (std::uint32_t i = 0; i < n; ++i)
+                kind.push_back(restoreMemRequest(r));
         }
         _opsStarted.set(r.u64());
         _resultsReturned.set(r.u64());
@@ -155,18 +150,14 @@ class FpuDevice
         Word value;
     };
 
-    struct PendingRead
-    {
-        MemRequest req;
-    };
-
     static FpuOp kindOf(Addr addr);
     static unsigned offsetOf(Addr addr);
 
     Cycle _latency;
     std::array<Word, unsigned(FpuOp::NumOps)> _latchA{};
     std::array<std::deque<Result>, unsigned(FpuOp::NumOps)> _results;
-    std::array<std::deque<PendingRead>, unsigned(FpuOp::NumOps)> _reads;
+    /** Result reads waiting per kind, in acceptance order. */
+    std::array<std::deque<MemRequest>, unsigned(FpuOp::NumOps)> _reads;
 
     Counter _opsStarted;
     Counter _resultsReturned;

@@ -57,11 +57,8 @@ MemorySystem::serviceDcache(Cycle now)
     _dcache->recordLookup(true);
     ++_dcacheHits;
     _dataClient->accepted();
-    LocalResponse resp;
-    resp.req = std::move(*req);
-    resp.value = _dataMem.readWord(resp.req.addr);
-    resp.readyAt = now + 1;
-    _localResponses.push_back(std::move(resp));
+    _localResponses.push_back(
+        LocalResponse{*req, _dataMem.readWord(req->addr), now + 1});
 }
 
 /** Deliver at most one ready data-cache hit, in LDQ order. */
@@ -70,16 +67,26 @@ MemorySystem::deliverLocalResponse(Cycle now)
 {
     if (_localResponses.empty())
         return;
-    LocalResponse &resp = _localResponses.front();
-    if (resp.readyAt > now ||
-        resp.req.dataSeq != _nextDataDeliverSeq)
+    const LocalResponse done = _localResponses.front();
+    if (done.readyAt > now || done.req.dataSeq != _nextDataDeliverSeq)
         return;
-    if (resp.req.onData)
-        resp.req.onData(resp.value);
-    ++_nextDataDeliverSeq;
-    if (resp.req.onComplete)
-        resp.req.onComplete();
     _localResponses.pop_front();
+    ++_nextDataDeliverSeq;
+    if (_dataClient) {
+        _dataClient->loadValue(done.req, done.value);
+        _dataClient->completed(done.req);
+    }
+}
+
+MemClient *
+MemorySystem::clientFor(ReqClass cls) const
+{
+    switch (cls) {
+      case ReqClass::Data: return _dataClient;
+      case ReqClass::IFetchDemand: return _demandClient;
+      case ReqClass::IPrefetch: return _prefetchClient;
+    }
+    return nullptr;
 }
 
 bool
@@ -120,11 +127,11 @@ MemorySystem::selectTransfer(Cycle now)
         t.fromExtMem = true;
         t.value = t.req.loadData;
         _extMem.setTransferring(true);
-        // Fill parity injection: only instruction fills opt in (they
-        // set onParityError), and the decision is made here, before
-        // the first beat, so corrupt data never propagates.
-        if (_faults && t.req.onParityError && !t.req.isStore &&
-            t.req.cls != ReqClass::Data && _faults->corruptFill())
+        // Fill parity injection: only instruction fills can be
+        // corrupted, and the decision is made here, before the first
+        // beat, so corrupt data never propagates.
+        if (_faults && t.req.cls != ReqClass::Data && !t.req.isStore &&
+            _faults->corruptFill())
             t.corrupted = true;
     } else {
         t.req = fpu_ready->req;
@@ -135,7 +142,7 @@ MemorySystem::selectTransfer(Cycle now)
     t.nextAddr = t.req.addr;
     t.bytesLeft = t.req.bytes;
     PIPESIM_ASSERT(t.bytesLeft > 0, "zero-length response");
-    _transfer = std::move(t);
+    _transfer = t;
 }
 
 void
@@ -146,36 +153,36 @@ MemorySystem::deliverBeat(Cycle now)
     const unsigned beat = std::min(_config.busWidthBytes, t.bytesLeft);
     ++_beatsDelivered;
     ++_inputBusBusyCycles;
+    MemClient *client = clientFor(t.req.cls);
     // A corrupted transfer occupies the bus for its full duration but
     // delivers nothing: the parity error is detected per beat.
-    if (t.req.onBeat && !t.corrupted)
-        t.req.onBeat(t.nextAddr, beat);
+    if (client && !t.corrupted)
+        client->beat(t.nextAddr, beat);
     t.nextAddr += beat;
     t.bytesLeft -= beat;
     if (t.bytesLeft == 0) {
-        // Retire the transfer before firing the end-of-transfer
-        // callback: a callback may throw (parity retry exhaustion
-        // raises SimAbort), and the bus must look consistent in the
+        // Retire the transfer before the end-of-transfer delivery:
+        // the client may throw (parity retry exhaustion raises
+        // SimAbort), and the bus must look consistent in the
         // post-mortem snapshot.
-        MemRequest req = std::move(t.req);
-        const bool from_ext = t.fromExtMem;
-        const bool corrupted = t.corrupted;
-        const Word value = t.value;
-        if (from_ext)
+        const Transfer done = t;
+        if (done.fromExtMem)
             _extMem.setTransferring(false);
         _transfer.reset();
-        if (corrupted) {
-            if (req.onParityError)
-                req.onParityError();
+        if (done.corrupted) {
+            if (client)
+                client->parityError(done.req);
             return;
         }
-        if (!req.isStore && req.cls == ReqClass::Data) {
-            if (req.onData)
-                req.onData(value);
+        const bool load = !done.req.isStore &&
+                          done.req.cls == ReqClass::Data;
+        if (load)
             ++_nextDataDeliverSeq;
-        }
-        if (req.onComplete)
-            req.onComplete();
+        if (!client)
+            return;
+        if (load)
+            client->loadValue(done.req, done.value);
+        client->completed(done.req);
     }
 }
 
@@ -230,8 +237,6 @@ MemorySystem::tryAccept(MemClient *client, Cycle now)
     if (to_fpu) {
         if (req->isStore) {
             _fpu.store(req->addr, req->storeData, now);
-            if (req->onComplete)
-                req->onComplete();
         } else {
             _fpu.queueRead(*req, now);
         }
@@ -261,7 +266,7 @@ MemorySystem::tryAccept(MemClient *client, Cycle now)
     // misses); the external memory adds it to the ready time.
     if (_faults)
         req->extraLatency = _faults->responseJitter();
-    _extMem.accept(std::move(*req), now);
+    _extMem.accept(*req, now);
     return true;
 }
 
@@ -359,20 +364,18 @@ MemorySystem::saveState(StateWriter &w) const
 }
 
 void
-MemorySystem::restoreState(StateReader &r,
-                           const std::function<void(MemRequest &)> &rebind)
+MemorySystem::restoreState(StateReader &r)
 {
     _transfer.reset();
     if (r.b()) {
         Transfer t;
         t.req = restoreMemRequest(r);
-        rebind(t.req);
         t.nextAddr = r.u32();
         t.bytesLeft = r.u32();
         t.fromExtMem = r.b();
         t.value = r.u32();
         t.corrupted = r.b();
-        _transfer = std::move(t);
+        _transfer = t;
     }
     if (r.b() != _dcache.has_value())
         r.fail("data cache presence mismatch");
@@ -383,10 +386,9 @@ MemorySystem::restoreState(StateReader &r,
     for (std::uint32_t i = 0; i < locals; ++i) {
         LocalResponse resp;
         resp.req = restoreMemRequest(r);
-        rebind(resp.req);
         resp.value = r.u32();
         resp.readyAt = r.u64();
-        _localResponses.push_back(std::move(resp));
+        _localResponses.push_back(resp);
     }
     _lastDcacheMissSeq = r.u64();
     _nextDataDeliverSeq = r.u64();
@@ -398,8 +400,8 @@ MemorySystem::restoreState(StateReader &r,
     _demandRequests.set(r.u64());
     _prefetchRequests.set(r.u64());
     _beatsDelivered.set(r.u64());
-    _extMem.restoreState(r, rebind);
-    _fpu.restoreState(r, rebind);
+    _extMem.restoreState(r);
+    _fpu.restoreState(r);
 }
 
 void

@@ -10,7 +10,8 @@
  *     response transfer; if the bus is idle a new response is
  *     selected: demand responses first, then FPU results, then
  *     prefetch responses.  Data-load responses are delivered strictly
- *     in program order (the LDQ is a FIFO).
+ *     in program order (the LDQ is a FIFO).  Every response goes to
+ *     the MemClient registered for its request's class.
  *  3. The output bus accepts at most one request, chosen by class
  *     priority: demand instruction fetch vs. data order is
  *     configurable (the paper's presented results put instructions
@@ -21,7 +22,6 @@
 #define PIPESIM_MEM_MEMORY_SYSTEM_HH
 
 #include <deque>
-#include <functional>
 #include <iosfwd>
 #include <optional>
 
@@ -67,6 +67,10 @@ class MemorySystem
 {
   public:
     MemorySystem(const MemSystemConfig &config, DataMemory &data_memory);
+
+    // Each client both supplies the requests of its class and
+    // receives their responses (beats, load values, completions,
+    // parity errors); responses of a class with no client are dropped.
 
     /** Register the CPU's data-queue request source. */
     void setDataClient(MemClient *client) { _dataClient = client; }
@@ -126,13 +130,11 @@ class MemorySystem
     void saveState(StateWriter &w) const;
 
     /**
-     * Restore state saved by saveState().  @p rebind re-attaches the
-     * callbacks of every in-flight request (dispatching on ReqClass
-     * to the pipeline or the fetch unit); geometry mismatches fail
-     * the reader.
+     * Restore state saved by saveState(); geometry mismatches fail
+     * the reader.  In-flight requests are plain values, so their
+     * responses go to whichever clients are registered now.
      */
-    void restoreState(StateReader &r,
-                      const std::function<void(MemRequest &)> &rebind);
+    void restoreState(StateReader &r);
 
   private:
     struct Transfer
@@ -141,12 +143,12 @@ class MemorySystem
         Addr nextAddr;
         unsigned bytesLeft;
         bool fromExtMem;
-        Word value; //!< data-load value to hand to onData
+        Word value; //!< data-load value for MemClient::loadValue
         /**
          * Injected fill parity error: the bus stays occupied for the
-         * usual beats, but no onBeat fires and onParityError replaces
-         * onComplete at the end (decided once, at transfer selection,
-         * so not a single corrupt byte is ever delivered).
+         * usual beats, but no beat is delivered and parityError
+         * replaces completed at the end (decided once, at transfer
+         * selection, so not a single corrupt byte is ever delivered).
          */
         bool corrupted = false;
     };
@@ -158,6 +160,9 @@ class MemorySystem
     bool tryAccept(MemClient *client, Cycle now);
     void serviceDcache(Cycle now);
     void deliverLocalResponse(Cycle now);
+
+    /** The client registered for @p cls (may be null). */
+    MemClient *clientFor(ReqClass cls) const;
 
     /** True if this response may start transferring now. */
     bool deliverable(const MemRequest &req) const;

@@ -9,8 +9,8 @@
 #define PIPESIM_MEM_REQUEST_HH
 
 #include <cstdint>
-#include <functional>
 #include <optional>
+#include <type_traits>
 
 #include "common/state_io.hh"
 #include "common/types.hh"
@@ -33,13 +33,14 @@ enum class ReqClass : unsigned char
 };
 
 /**
- * One request presented to the memory interface.
+ * One request presented to the memory interface: plain data, with no
+ * callbacks and no pointer to its requester.
  *
  * Loads and instruction fetches produce response beats on the input
- * bus; stores complete silently.  @c onBeat is invoked once per input
- * bus beat with the byte range delivered; @c onComplete fires after
- * the final beat (or, for stores, when the memory finishes the
- * write).
+ * bus; stores complete silently.  The memory system delivers every
+ * response to the MemClient registered for the request's class (see
+ * MemClient's delivery methods), so a request can be copied, queued
+ * and checkpointed as a value.
  */
 struct MemRequest
 {
@@ -57,46 +58,23 @@ struct MemRequest
      */
     std::uint64_t dataSeq = 0;
 
-    /** Called for every input-bus beat: (base address, bytes). */
-    std::function<void(Addr, unsigned)> onBeat;
-
-    /**
-     * For data loads: called with the loaded word when the response
-     * is delivered.  The value is captured when the memory services
-     * the request, preserving program-order memory semantics.
-     */
-    std::function<void(Word)> onData;
-
-    /** Called once when the request fully completes. */
-    std::function<void()> onComplete;
-
-    /**
-     * Instruction fills only: the transfer was corrupted (an injected
-     * fill parity error).  Fired at end-of-transfer *instead of*
-     * onComplete; no onBeat fires for a corrupted transfer, so no
-     * corrupt byte ever reaches a cache or the decoder.  The fetch
-     * unit is expected to discard its fill state and retry.
-     */
-    std::function<void()> onParityError;
-
     /**
      * Extra response latency added by fault injection (set by the
      * memory system at acceptance; 0 when injection is off).
      */
     unsigned extraLatency = 0;
 
-    /** Load value captured at acceptance (memory system internal). */
+    /**
+     * Load value captured when the memory accepts the request
+     * (memory system internal), preserving program-order memory
+     * semantics.
+     */
     Word loadData = 0;
 };
 
-/**
- * Serialize the value fields of a request for a checkpoint.  The
- * callbacks are deliberately not captured: they close over component
- * pointers that are meaningless in another process, so the restore
- * path re-binds them from the owning component (the Pipeline for
- * Data requests, the fetch unit for instruction fills) after
- * restoreMemRequest() rebuilds the plain fields.
- */
+static_assert(std::is_trivially_copyable_v<MemRequest>);
+
+/** Serialize a request for a checkpoint (every field is a value). */
 inline void
 saveMemRequest(StateWriter &w, const MemRequest &req)
 {
@@ -110,7 +88,7 @@ saveMemRequest(StateWriter &w, const MemRequest &req)
     w.u32(req.loadData);
 }
 
-/** Rebuild the value fields; callbacks stay empty until re-bound. */
+/** Rebuild a request saved by saveMemRequest(). */
 inline MemRequest
 restoreMemRequest(StateReader &r)
 {
@@ -142,11 +120,15 @@ reqClassName(ReqClass cls)
 }
 
 /**
- * Pull interface the memory system uses to collect requests.
+ * A requester as the memory system sees it: a pull interface to
+ * collect requests, and delivery methods for their responses.
  *
  * Each requester exposes at most one candidate request per cycle;
  * when the output bus accepts it the memory system calls accepted()
- * and the requester pops its internal queue.
+ * and the requester pops its internal queue.  Responses go to the
+ * client registered for the request's class (MemorySystem::
+ * setDataClient and friends), in the order below; the defaults
+ * ignore them, so a client overrides only what it consumes.
  */
 class MemClient
 {
@@ -158,6 +140,24 @@ class MemClient
 
     /** The peeked request was accepted this cycle. */
     virtual void accepted() = 0;
+
+    /** One input-bus beat of a response: (base address, bytes). */
+    virtual void beat(Addr, unsigned) {}
+
+    /** A data load's value, delivered strictly in dataSeq order. */
+    virtual void loadValue(const MemRequest &, Word) {}
+
+    /** The last beat of the request's response was delivered. */
+    virtual void completed(const MemRequest &) {}
+
+    /**
+     * Instruction fills only: the transfer was corrupted (an injected
+     * fill parity error).  Delivered at end-of-transfer *instead of*
+     * completed(); no beat() precedes it, so no corrupt byte ever
+     * reaches a cache or the decoder.  The client is expected to
+     * discard its fill state and retry.
+     */
+    virtual void parityError(const MemRequest &) {}
 };
 
 } // namespace pipesim

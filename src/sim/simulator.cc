@@ -255,12 +255,7 @@ Simulator::restoreState(StateReader &r)
     _lastRetired = r.u64();
     _pipeline->restoreState(r);
     _fetch->restoreState(r);
-    _mem->restoreState(r, [this](MemRequest &req) {
-        if (req.cls == ReqClass::Data)
-            _pipeline->rebindDataRequest(req);
-        else
-            _fetch->rebindRequest(req);
-    });
+    _mem->restoreState(r);
     for (unsigned i = 0; i < obs::numCycleClasses; ++i) {
         const std::uint64_t cycles = r.u64();
         if (_cpiStack)
