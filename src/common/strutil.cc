@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cstdarg>
 #include <cstdio>
+#include <limits>
 
 namespace pipesim
 {
@@ -84,7 +85,13 @@ parseInt(std::string_view s)
     if (s.empty())
         return std::nullopt;
 
-    std::int64_t value = 0;
+    // Accumulate the magnitude unsigned and refuse any digit that
+    // would carry it past the signed range, so an overlong literal is
+    // rejected rather than wrapped (-2^63 is accepted exactly).
+    const std::uint64_t limit =
+        std::uint64_t(std::numeric_limits<std::int64_t>::max()) +
+        (neg ? 1 : 0);
+    std::uint64_t value = 0;
     for (char c : s) {
         int digit;
         if (c >= '0' && c <= '9')
@@ -97,9 +104,11 @@ parseInt(std::string_view s)
             return std::nullopt;
         if (digit >= base)
             return std::nullopt;
-        value = value * base + digit;
+        if (value > (limit - unsigned(digit)) / unsigned(base))
+            return std::nullopt;
+        value = value * unsigned(base) + unsigned(digit);
     }
-    return neg ? -value : value;
+    return std::int64_t(neg ? 0 - value : value);
 }
 
 std::string

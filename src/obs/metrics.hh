@@ -195,16 +195,15 @@ class MetricsRegistry
 };
 
 /**
- * Refresh the process-liveness gauges a long-running server is
- * watched by:
+ * Refresh the process gauges:
  *
  *   process.uptime_seconds  wall seconds since the process started
  *                           (steady clock, anchored at static init)
  *   process.max_rss_bytes   peak resident set size (getrusage)
  *
  * Cheap enough to call right before every export; the stats-json
- * "host" section and the pipesim-serve daemon's `stats` event both
- * do, so the keys are part of every host export's key set.
+ * "host" section does, so the keys are part of every host export's
+ * key set.
  */
 void updateProcessGauges();
 

@@ -184,8 +184,7 @@ encodeTrace(Trace &trace)
 {
     PIPESIM_ASSERT(trace.meta.programSha256.size() == 64,
                    "program hash must be 64 hex chars");
-    std::vector<std::uint8_t> out;
-    out.insert(out.end(), kMagic.begin(), kMagic.end());
+    std::vector<std::uint8_t> out(kMagic.begin(), kMagic.end());
     putU32(out, traceFormatVersion);
     putU32(out, 0); // reserved
     putU64(out, trace.records.size());

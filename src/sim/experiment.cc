@@ -125,36 +125,6 @@ retryBackoffNs(const std::string &strategy, unsigned cache_bytes,
     return (baseNs << exponent) + jitter;
 }
 
-DeadlineEnforcer::DeadlineEnforcer(std::vector<PointControl> &controls,
-                                   bool enabled)
-{
-    if (enabled)
-        _thread = std::thread([this, &controls] { watch(controls); });
-}
-
-DeadlineEnforcer::~DeadlineEnforcer()
-{
-    if (_thread.joinable()) {
-        _stop.store(true, std::memory_order_relaxed);
-        _thread.join();
-    }
-}
-
-void
-DeadlineEnforcer::watch(std::vector<PointControl> &controls)
-{
-    while (!_stop.load(std::memory_order_relaxed)) {
-        const std::uint64_t now = obs::profileNowNs();
-        for (PointControl &c : controls) {
-            const std::uint64_t deadline =
-                c.deadlineNs.load(std::memory_order_relaxed);
-            if (deadline && now >= deadline)
-                c.cancel.store(true, std::memory_order_relaxed);
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-}
-
 store::ResultKeyParams
 sweepKeyParams(const SweepSpec &spec, const Program &program)
 {
@@ -208,35 +178,89 @@ planSweepPoints(const SweepSpec &spec, const store::ResultKeyParams *keys)
     return points;
 }
 
-SimResult
-runSweepPointOnce(
-    const SweepSpec &spec, const Program &program, const SimConfig &cfg,
-    const std::function<void(Simulator &)> &pre_run,
-    const std::function<void(Simulator &, const SimResult &)> &post_run)
-{
-    if (spec.engine == SweepEngine::Trace) {
-        replay::ReplayOptions opts;
-        opts.samplePeriod = spec.samplePeriod;
-        opts.sampleWarmup = spec.sampleWarmup;
-        opts.sampleMeasure = spec.sampleMeasure;
-        // Windows stay serial inside a point (jobs = 1): the caller
-        // already parallelizes across points, and nesting pools would
-        // oversubscribe the host.
-        opts.ckptDir = spec.ckptDir;
-        opts.ckptCreate = spec.ckptCreate;
-        return replay::replayTrace(cfg, program, *spec.trace, opts);
-    }
-    Simulator sim(cfg, program);
-    if (pre_run)
-        pre_run(sim);
-    const SimResult result = sim.run();
-    if (post_run)
-        post_run(sim, result);
-    return result;
-}
-
 namespace
 {
+
+/**
+ * Host-side control block for one scheduled point.  deadlineNs is
+ * armed by the point's worker right before an attempt and observed by
+ * the DeadlineEnforcer watchdog, which answers by setting cancel —
+ * the flag the simulated machine's tick loop polls through
+ * SimConfig::cancelFlag.
+ */
+struct PointControl
+{
+    std::atomic<std::uint64_t> deadlineNs{0}; //!< 0 = not running
+    std::atomic<bool> cancel{false};
+};
+
+/**
+ * The --point-deadline-ms watchdog: one thread scanning every
+ * in-flight point's armed deadline a few hundred times a second.
+ * Purely host-side — it never touches simulated state, only the
+ * cooperative cancel flags — so it cannot perturb results.  The
+ * controls vector must outlive the enforcer.
+ */
+class DeadlineEnforcer
+{
+  public:
+    DeadlineEnforcer(std::vector<PointControl> &controls, bool enabled)
+    {
+        if (enabled)
+            _thread = std::thread([this, &controls] { watch(controls); });
+    }
+
+    ~DeadlineEnforcer()
+    {
+        if (_thread.joinable()) {
+            _stop.store(true, std::memory_order_relaxed);
+            _thread.join();
+        }
+    }
+
+    DeadlineEnforcer(const DeadlineEnforcer &) = delete;
+    DeadlineEnforcer &operator=(const DeadlineEnforcer &) = delete;
+
+  private:
+    void watch(std::vector<PointControl> &controls)
+    {
+        while (!_stop.load(std::memory_order_relaxed)) {
+            const std::uint64_t now = obs::profileNowNs();
+            for (PointControl &c : controls) {
+                const std::uint64_t deadline =
+                    c.deadlineNs.load(std::memory_order_relaxed);
+                if (deadline && now >= deadline)
+                    c.cancel.store(true, std::memory_order_relaxed);
+            }
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        }
+    }
+
+    std::atomic<bool> _stop{false};
+    std::thread _thread;
+};
+
+/**
+ * Run one attempt of one trace-engine point: replay spec.trace on
+ * @p cfg.  Failures (SimAbort, TimeoutAbort via cfg.cancelFlag,
+ * FatalError) propagate to runPoint, which owns retry and
+ * disposition policy.
+ */
+SimResult
+replayPoint(const SweepSpec &spec, const Program &program,
+            const SimConfig &cfg)
+{
+    replay::ReplayOptions opts;
+    opts.samplePeriod = spec.samplePeriod;
+    opts.sampleWarmup = spec.sampleWarmup;
+    opts.sampleMeasure = spec.sampleMeasure;
+    // Windows stay serial inside a point (jobs = 1): the sweep
+    // already parallelizes across points, and nesting pools would
+    // oversubscribe the host.
+    opts.ckptDir = spec.ckptDir;
+    opts.ckptCreate = spec.ckptCreate;
+    return replay::replayTrace(cfg, program, *spec.trace, opts);
+}
 
 /**
  * One planned point plus the runtime state runCacheSweep tracks for
@@ -479,7 +503,7 @@ runCacheSweep(const SweepSpec &spec, const Program &program,
     auto attemptPoint = [&](SweepPoint &p) {
         if (spec.engine == SweepEngine::Trace) {
             const SimResult result =
-                runSweepPointOnce(spec, program, p.plan.cfg);
+                replayPoint(spec, program, p.plan.cfg);
             cells[p.plan.row][p.plan.col] =
                 std::to_string(result.totalCycles);
             journal(p, result);

@@ -13,11 +13,9 @@
 #ifndef PIPESIM_SIM_EXPERIMENT_HH
 #define PIPESIM_SIM_EXPERIMENT_HH
 
-#include <atomic>
 #include <functional>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "assembler/program.hh"
@@ -300,10 +298,8 @@ struct SweepSpec
 /**
  * One enumerated (cache size, strategy) cell of a sweep grid — the
  * point-level scheduling unit.  runCacheSweep plans its grid through
- * planSweepPoints(); external schedulers (the pipesim-serve daemon,
- * src/server/) plan the same points and run them one at a time with
- * runSweepPointOnce(), so a served sweep is point-for-point identical
- * to a local one.
+ * planSweepPoints(); perfbench plans the same points, with their
+ * store keys, to time ResultStore put/lookup directly.
  */
 struct SweepPointPlan
 {
@@ -336,59 +332,6 @@ store::ResultKeyParams sweepKeyParams(const SweepSpec &spec,
 std::vector<SweepPointPlan>
 planSweepPoints(const SweepSpec &spec,
                 const store::ResultKeyParams *keys = nullptr);
-
-/**
- * Run one attempt of one sweep point — the engine dispatch shared by
- * runCacheSweep and the serving scheduler.  Cycle engine: builds a
- * Simulator on @p cfg and runs it, calling @p pre_run right before
- * and @p post_run right after (both optional; never serialized here —
- * that is the caller's contract).  Trace engine: replays spec.trace
- * (pre_run/post_run do not fire; there is no Simulator).  Failures
- * (SimAbort, TimeoutAbort via cfg.cancelFlag, FatalError) propagate
- * to the caller, which owns retry and disposition policy.
- */
-SimResult runSweepPointOnce(
-    const SweepSpec &spec, const Program &program, const SimConfig &cfg,
-    const std::function<void(Simulator &)> &pre_run = {},
-    const std::function<void(Simulator &, const SimResult &)> &post_run =
-        {});
-
-/**
- * Host-side control block for one scheduled point.  deadlineNs is
- * armed by the point's worker right before an attempt and observed by
- * the DeadlineEnforcer watchdog, which answers by setting cancel —
- * the flag the simulated machine's tick loop polls through
- * SimConfig::cancelFlag.  Cancel doubles as the cooperative
- * client-disconnect path in the serving layer.
- */
-struct PointControl
-{
-    std::atomic<std::uint64_t> deadlineNs{0}; //!< 0 = not running
-    std::atomic<bool> cancel{false};
-};
-
-/**
- * The --point-deadline-ms watchdog: one thread scanning every
- * in-flight point's armed deadline a few hundred times a second.
- * Purely host-side — it never touches simulated state, only the
- * cooperative cancel flags — so it cannot perturb results.  The
- * controls vector must outlive the enforcer.
- */
-class DeadlineEnforcer
-{
-  public:
-    DeadlineEnforcer(std::vector<PointControl> &controls, bool enabled);
-    ~DeadlineEnforcer();
-
-    DeadlineEnforcer(const DeadlineEnforcer &) = delete;
-    DeadlineEnforcer &operator=(const DeadlineEnforcer &) = delete;
-
-  private:
-    void watch(std::vector<PointControl> &controls);
-
-    std::atomic<bool> _stop{false};
-    std::thread _thread;
-};
 
 /**
  * Build the SimConfig for one (strategy, cache size) point when the

@@ -50,6 +50,21 @@ onShutdownSignal(int sig)
     detail::pendingSignalFlag.store(sig, std::memory_order_relaxed);
 }
 
+/** Install the flag-setting SIGINT/SIGTERM handlers (idempotent). */
+void
+installSignalGuard()
+{
+    static const bool installed = [] {
+        struct sigaction sa = {};
+        sa.sa_handler = &onShutdownSignal;
+        sigemptyset(&sa.sa_mask);
+        sigaction(SIGINT, &sa, nullptr);
+        sigaction(SIGTERM, &sa, nullptr);
+        return true;
+    }();
+    (void)installed;
+}
+
 } // namespace
 
 InterruptedError::InterruptedError(int sig)
@@ -68,20 +83,6 @@ void
 clearPendingSignal()
 {
     detail::pendingSignalFlag.store(0, std::memory_order_relaxed);
-}
-
-void
-installSignalGuard()
-{
-    static const bool installed = [] {
-        struct sigaction sa = {};
-        sa.sa_handler = &onShutdownSignal;
-        sigemptyset(&sa.sa_mask);
-        sigaction(SIGINT, &sa, nullptr);
-        sigaction(SIGTERM, &sa, nullptr);
-        return true;
-    }();
-    (void)installed;
 }
 
 int

@@ -91,13 +91,6 @@ checkInterrupt()
 }
 
 /**
- * Install the flag-setting SIGINT/SIGTERM handlers (idempotent).
- * Called by runGuardedMain(); exposed for tools with hand-rolled
- * mains.
- */
-void installSignalGuard();
-
-/**
  * Run @p body (a main function's work) under the standard guard.
  * @return body's own return value, or the taxonomy's exit code when
  *         an exception escapes it.

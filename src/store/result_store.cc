@@ -302,7 +302,7 @@ ResultStore::acquireWriterLock(const std::string &dir)
         _lockFd = -1;
         fatal("result store ", dir, " is already open for writing by ",
               holder, " (single-writer advisory lock on ", lockPath,
-              "); a daemon and a concurrent sweep must not share a "
+              "); two concurrent sweeps must not share a "
               "--store-dir -- wait for the holder or use a different "
               "directory");
     }

@@ -43,9 +43,10 @@
  *
  * Single-writer discipline: opening a store takes an exclusive
  * advisory flock(2) on `<dir>/results.piperes.lock` for the store's
- * lifetime, so a daemon and a concurrent CLI sweep pointed at the
- * same --store-dir can never interleave journal appends — the second
- * opener gets a FatalError naming the holder (pid and program).  The
+ * lifetime, so two concurrent sweeps (or a sweep and a
+ * `pipesim-trace store compact`) pointed at the same --store-dir can
+ * never interleave journal appends — the second opener gets a
+ * FatalError naming the holder (pid and program).  The
  * lock is advisory per open file description: it protects against
  * other ResultStore instances (same or different process), dies with
  * the holding process (SIGKILL releases it), and never outlives a

@@ -592,7 +592,12 @@ TEST(ExperimentStore, DeadlineRendersTimeoutWithoutStallingTheSweep)
     spec.fault.kinds = fault::Grant;
     spec.fault.rate = 1.0;
     spec.faultPoint = "8-8:32";
-    spec.pointDeadlineMs = 50;
+    // The wedged point spins without end, so only the wait depends on
+    // the deadline. It sits far above the slowest healthy point in a
+    // Debug ASan/UBSan build on a 4-core x86 VM (about 85 ms, or 265 ms
+    // with four such sweeps sharing the cores), so a slow host cannot
+    // push a healthy point past it.
+    spec.pointDeadlineMs = 2000;
     const SweepResult r = runCacheSweep(spec, tinyBenchmark().program);
     ASSERT_EQ(r.failures.size(), 1u);
     EXPECT_TRUE(r.failures[0].timeout);

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "common/log.hh"
 
 #include "common/strutil.hh"
@@ -60,6 +63,13 @@ TEST(StrUtil, ParseIntDecimal)
     EXPECT_EQ(parseInt("-42"), -42);
     EXPECT_EQ(parseInt("+7"), 7);
     EXPECT_EQ(parseInt(" 13 "), 13);
+    // The full int64 range, both ends, parses exactly.
+    EXPECT_EQ(parseInt("9223372036854775807"),
+              std::numeric_limits<std::int64_t>::max());
+    EXPECT_EQ(parseInt("-9223372036854775808"),
+              std::numeric_limits<std::int64_t>::min());
+    EXPECT_EQ(parseInt("0x7fffffffffffffff"),
+              std::numeric_limits<std::int64_t>::max());
 }
 
 TEST(StrUtil, ParseIntHexAndBinary)
@@ -78,6 +88,12 @@ TEST(StrUtil, ParseIntRejectsGarbage)
     EXPECT_FALSE(parseInt("0x"));
     EXPECT_FALSE(parseInt("-"));
     EXPECT_FALSE(parseInt("0b2"));
+    // Out-of-range literals are rejected, never wrapped.
+    EXPECT_FALSE(parseInt("9223372036854775808"));
+    EXPECT_FALSE(parseInt("-9223372036854775809"));
+    EXPECT_FALSE(parseInt("99999999999999999999"));
+    EXPECT_FALSE(parseInt("0x8000000000000000"));
+    EXPECT_FALSE(parseInt("0x10000000000000000"));
 }
 
 TEST(StrUtil, Format)
